@@ -649,8 +649,7 @@ let run ?(pool = Par.Pool.sequential) ?on_complete t spec =
                ("assemble", assemble_ps);
              ]);
         let h =
-          Serve.Service.fnv_image
-            (Serve.Service.fnv_int Serve.Service.fnv_basis rq.Serve.Request.id)
+          Serve.Fnv.image (Serve.Fnv.int Serve.Fnv.basis rq.Serve.Request.id)
             image
         in
         records := (completion, rep.r_id, rq.Serve.Request.id, h) :: !records;
@@ -842,11 +841,10 @@ let run ?(pool = Par.Pool.sequential) ?on_complete t spec =
   let pixels =
     List.fold_left
       (fun h (_, _, _, hr) ->
-        Serve.Service.fnv_int
-          (Serve.Service.fnv_int h
-             (Int64.to_int (Int64.shift_right_logical hr 32)))
+        Serve.Fnv.int
+          (Serve.Fnv.int h (Int64.to_int (Int64.shift_right_logical hr 32)))
           (Int64.to_int (Int64.logand hr 0xFFFFFFFFL)))
-      Serve.Service.fnv_basis recs
+      Serve.Fnv.basis recs
   in
   let latency = Serve.Service.latency_of !latencies in
   let makespan_ms = Serve.Service.ms_of_ps !makespan in

@@ -9,16 +9,29 @@ let create_plane ~width ~height =
 let plane_get p ~x ~y = p.data.((y * p.width) + x)
 let plane_set p ~x ~y v = p.data.((y * p.width) + x) <- v
 
+(* A typed [int array] loop rather than [Array.blit]: OCaml 5's
+   [caml_array_blit] sends every element through [caml_modify] when
+   the destination lives in the major heap, as any plane beyond the
+   minor heap's size does; stores of immediates need no barrier. *)
 let blit_row ~src ~src_x ~src_y ~dst ~dst_x ~dst_y ~len =
+  let s = (src_y * src.width) + src_x and d = (dst_y * dst.width) + dst_x in
   if
     len < 0 || src_x < 0 || src_x + len > src.width || src_y < 0
     || src_y >= src.height || dst_x < 0
     || dst_x + len > dst.width
     || dst_y < 0 || dst_y >= dst.height
+    || s + len > Array.length src.data
+    || d + len > Array.length dst.data
   then invalid_arg "Image.blit_row: row out of bounds";
-  Array.blit src.data ((src_y * src.width) + src_x) dst.data
-    ((dst_y * dst.width) + dst_x)
-    len
+  let a = src.data and b = dst.data in
+  if a == b && s < d then
+    for i = len - 1 downto 0 do
+      Array.unsafe_set b (d + i) (Array.unsafe_get a (s + i))
+    done
+  else
+    for i = 0 to len - 1 do
+      Array.unsafe_set b (d + i) (Array.unsafe_get a (s + i))
+    done
 
 let create ~width ~height ~components ?(bit_depth = 8) () =
   if components <= 0 then invalid_arg "Image.create: components";

@@ -27,9 +27,11 @@ val blit_row :
   dst_y:int ->
   len:int ->
   unit
-(** Copies [len] samples of one row — a single bounds check and an
-    [Array.blit], the tile split/assemble hot path. Raises
-    [Invalid_argument] if either row segment is out of bounds. *)
+(** Copies [len] samples of one row — the tile split/assemble and
+    region-crop hot path. One bounds check, then a plain [int] loop
+    with no write barrier and no allocation; overlapping rows of the
+    same plane copy as [Array.blit] would. Raises [Invalid_argument]
+    if either row segment is out of bounds. *)
 
 val create : width:int -> height:int -> components:int -> ?bit_depth:int -> unit -> t
 val width : t -> int

@@ -22,7 +22,7 @@ type key = {
 type t
 
 val digest : string -> int64
-(** FNV-1a (64-bit) over the bytes — deterministic and
+(** {!Fnv.string} from {!Fnv.basis} over the bytes — deterministic and
     dependency-free; collision honesty comes from the full-key
     compare, not from digest strength. *)
 

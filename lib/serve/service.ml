@@ -132,21 +132,6 @@ let latency_of samples_ps =
       max_ms = ms_of_ps arr.(n - 1);
     }
 
-let fnv_prime = 0x100000001b3L
-
-let fnv_int h v =
-  let h = Int64.mul (Int64.logxor h (Int64.of_int v)) fnv_prime in
-  h
-
-let fnv_image h (image : Jpeg2000.Image.t) =
-  let h = ref h in
-  Array.iter
-    (fun (p : Jpeg2000.Image.plane) ->
-      h := fnv_int (fnv_int !h p.Jpeg2000.Image.width) p.Jpeg2000.Image.height;
-      Array.iter (fun v -> h := fnv_int !h v) p.Jpeg2000.Image.data)
-    image.Jpeg2000.Image.planes;
-  !h
-
 (* -- report ----------------------------------------------------------- *)
 
 type ingest_stats = {
@@ -255,20 +240,22 @@ let assemble stream target tiles =
     let region =
       Jpeg2000.Image.create ~width:rw ~height:rh ~components ~bit_depth ()
     in
+    (* one row copy per row of each tile plane's overlap with the window *)
     List.iter
       (fun (tile : Jpeg2000.Tile.t) ->
+        let tx = tile.Jpeg2000.Tile.x0 and ty = tile.Jpeg2000.Tile.y0 in
         Array.iteri
           (fun c (sub : Jpeg2000.Image.plane) ->
-            let plane = region.Jpeg2000.Image.planes.(c) in
-            for ty = 0 to sub.Jpeg2000.Image.height - 1 do
-              for tx = 0 to sub.Jpeg2000.Image.width - 1 do
-                let gx = tile.Jpeg2000.Tile.x0 + tx
-                and gy = tile.Jpeg2000.Tile.y0 + ty in
-                if gx >= rx && gx < rx + rw && gy >= ry && gy < ry + rh then
-                  Jpeg2000.Image.plane_set plane ~x:(gx - rx) ~y:(gy - ry)
-                    (Jpeg2000.Image.plane_get sub ~x:tx ~y:ty)
-              done
-            done)
+            let x0 = Stdlib.max rx tx
+            and x1 = Stdlib.min (rx + rw) (tx + sub.Jpeg2000.Image.width)
+            and y0 = Stdlib.max ry ty
+            and y1 = Stdlib.min (ry + rh) (ty + sub.Jpeg2000.Image.height) in
+            if x0 < x1 then
+              for y = y0 to y1 - 1 do
+                Jpeg2000.Image.blit_row ~src:sub ~src_x:(x0 - tx)
+                  ~src_y:(y - ty) ~dst:region.Jpeg2000.Image.planes.(c)
+                  ~dst_x:(x0 - rx) ~dst_y:(y - ry) ~len:(x1 - x0)
+              done)
           tile.Jpeg2000.Tile.planes)
       tiles;
     region
@@ -329,7 +316,8 @@ let stream_header s = s.s_header
 let stream_tile s i = s.s_tiles.(i)
 let stream_tile_count s = Array.length s.s_tiles
 let stream_reference s = Lazy.force s.s_reference
-let fnv_basis = 0xcbf29ce484222325L
+let fnv_basis = Fnv.basis
+let fnv_image = Fnv.image
 
 let edf_request_order (a : Request.t) (b : Request.t) =
   let c = Int.compare a.Request.deadline_ps b.Request.deadline_ps in
@@ -515,7 +503,7 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
   and ing_stall_ps = ref 0
   and ing_bytes = ref 0 in
   let latencies = ref [] in
-  let pixels = ref 0xcbf29ce484222325L in
+  let pixels = ref Fnv.basis in
   let makespan = ref 0 in
   let queue_track = "serve.queue" and exec_track = "serve.exec" in
   let sched_track = "serve.sched" and ingest_track = "serve.ingest" in
@@ -792,8 +780,7 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
                      ~cat:"stage" ~args:(trace_args r) stage;
                  ts + dur_ps)
                start stages);
-          pixels := fnv_int !pixels r.Request.id;
-          pixels := fnv_image !pixels image;
+          pixels := Fnv.image (Fnv.int !pixels r.Request.id) image;
           completion
         in
         (* closed loop: the client thinks, then issues its next

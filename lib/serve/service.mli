@@ -222,5 +222,7 @@ val ms_of_ps : int -> float
 (** {2 Digest folding} *)
 
 val fnv_basis : int64
-val fnv_int : int64 -> int -> int64
+(** {!Fnv.basis}. *)
+
 val fnv_image : int64 -> Jpeg2000.Image.t -> int64
+(** {!Fnv.image}: the per-image fold behind [pixels_digest]. *)

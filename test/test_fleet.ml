@@ -429,6 +429,23 @@ let test_fleet_rejects_bad_inputs () =
         (Fleet.run (Fleet.create streams)
            (spec_exn "closed:n=8,clients=2,think=1,seed=1")))
 
+let test_fleet_golden_pixels_digest () =
+  (* The README fleet quickstart, built as [osss_sim fleet] builds it:
+     the default 128-px lossless corpus, seeds 2008, 2009, ... *)
+  let corpus =
+    Array.init 4 (fun i ->
+        Models.Workload.codestream ~seed:(2008 + i) Jpeg2000.Codestream.Lossless)
+  in
+  let config =
+    match Fleet.parse_config "replicas=4,l2=64" with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "bad fleet spec: %s" e
+  in
+  let fleet = Fleet.create ~config ~service:(small_l1 8) corpus in
+  let r = Fleet.run fleet (spec_exn "open:n=64,rate=1500,seed=11") in
+  Alcotest.(check string) "fleet quickstart" "ed370ad996c6070b"
+    r.Fleet.pixels_digest
+
 let () =
   Alcotest.run "fleet"
     [
@@ -471,5 +488,7 @@ let () =
             test_fleet_config_roundtrip;
           Alcotest.test_case "rejects bad inputs" `Quick
             test_fleet_rejects_bad_inputs;
+          Alcotest.test_case "golden pixels digest" `Quick
+            test_fleet_golden_pixels_digest;
         ] );
     ]

@@ -90,6 +90,119 @@ let tile_roundtrip_qcheck =
       Jpeg2000.Image.equal img
         (Jpeg2000.Tile.assemble ~width:w ~height:h ~components:2 tiles))
 
+(* The [Array.blit] row copy that [Image.blit_row] replaced, kept as
+   its reference: same bounds check, then the stdlib blit. *)
+let blit_row_reference ~(src : Jpeg2000.Image.plane) ~src_x ~src_y
+    ~(dst : Jpeg2000.Image.plane) ~dst_x ~dst_y ~len =
+  if
+    len < 0 || src_x < 0
+    || src_x + len > src.Jpeg2000.Image.width
+    || src_y < 0
+    || src_y >= src.Jpeg2000.Image.height
+    || dst_x < 0
+    || dst_x + len > dst.Jpeg2000.Image.width
+    || dst_y < 0
+    || dst_y >= dst.Jpeg2000.Image.height
+  then invalid_arg "Image.blit_row: row out of bounds";
+  Array.blit src.Jpeg2000.Image.data
+    ((src_y * src.Jpeg2000.Image.width) + src_x)
+    dst.Jpeg2000.Image.data
+    ((dst_y * dst.Jpeg2000.Image.width) + dst_x)
+    len
+
+type blit_case = {
+  b_src : Jpeg2000.Image.plane;
+  b_dst : Jpeg2000.Image.plane option;  (** [None]: blit within [b_src] *)
+  b_args : int * int * int * int * int;  (** src_x, src_y, dst_x, dst_y, len *)
+}
+
+let plane_gen =
+  QCheck.Gen.(
+    pair (int_range 1 12) (int_range 1 5) >>= fun (width, height) ->
+    array_repeat (width * height) (int_range (-70000) 70000) >|= fun data ->
+    { Jpeg2000.Image.width; height; data })
+
+(* [slack] widens every coordinate range past the planes' edges, so
+   [slack > 0] also draws rows the bounds check must reject. *)
+let blit_case_gen ~slack =
+  QCheck.Gen.(
+    plane_gen >>= fun src ->
+    opt ~ratio:0.6 plane_gen >>= fun b_dst ->
+    let dst = Option.value b_dst ~default:src in
+    let w = Stdlib.min src.Jpeg2000.Image.width dst.Jpeg2000.Image.width in
+    int_range (-slack) (w + slack) >>= fun len ->
+    let x_in (p : Jpeg2000.Image.plane) =
+      int_range (-slack) (Stdlib.max 0 (p.Jpeg2000.Image.width - len) + slack)
+    and y_in (p : Jpeg2000.Image.plane) =
+      int_range (-slack) (p.Jpeg2000.Image.height - 1 + slack)
+    in
+    quad (x_in src) (y_in src) (x_in dst) (y_in dst)
+    >>= fun (sx, sy, dx, dy) ->
+    (* within one plane, force a shared row half the time so forward
+       and backward overlaps both come up *)
+    bool >|= fun same_row ->
+    let dy = if b_dst = None && same_row then sy else dy in
+    { b_src = src; b_dst; b_args = (sx, sy, dx, dy, len) })
+
+let print_blit_case c =
+  let sx, sy, dx, dy, len = c.b_args in
+  Printf.sprintf "src %dx%d, dst %s, src (%d,%d) -> dst (%d,%d), len %d"
+    c.b_src.Jpeg2000.Image.width c.b_src.Jpeg2000.Image.height
+    (match c.b_dst with
+    | None -> "= src"
+    | Some d ->
+      Printf.sprintf "%dx%d" d.Jpeg2000.Image.width d.Jpeg2000.Image.height)
+    sx sy dx dy len
+
+(* Runs [blit] on fresh copies of the case's planes; [Error ()] when it
+   raised [Invalid_argument], the resulting planes' samples otherwise. *)
+let run_blit blit c =
+  let copy (p : Jpeg2000.Image.plane) =
+    { p with Jpeg2000.Image.data = Array.copy p.Jpeg2000.Image.data }
+  in
+  let src = copy c.b_src in
+  let dst = match c.b_dst with None -> src | Some d -> copy d in
+  let src_x, src_y, dst_x, dst_y, len = c.b_args in
+  match blit ~src ~src_x ~src_y ~dst ~dst_x ~dst_y ~len with
+  | () -> Ok (src.Jpeg2000.Image.data, dst.Jpeg2000.Image.data)
+  | exception Invalid_argument _ -> Error ()
+
+let blit_row_matches_array_blit =
+  QCheck.Test.make ~name:"blit_row equals Array.blit (overlaps included)"
+    ~count:1000
+    (QCheck.make ~print:print_blit_case (blit_case_gen ~slack:0))
+    (fun c ->
+      let got = run_blit Jpeg2000.Image.blit_row c in
+      Result.is_ok got && got = run_blit blit_row_reference c)
+
+let blit_row_rejects_as_before =
+  QCheck.Test.make ~name:"blit_row rejects every row Array.blit rejected"
+    ~count:1000
+    (QCheck.make ~print:print_blit_case (blit_case_gen ~slack:3))
+    (fun c ->
+      run_blit Jpeg2000.Image.blit_row c = run_blit blit_row_reference c)
+
+let test_blit_row_short_data () =
+  (* A plane record whose data is shorter than width * height: the
+     stdlib blit rejected its last row, and the unchecked copy loop
+     must not read or write past the array. *)
+  let short = { Jpeg2000.Image.width = 4; height = 4; data = Array.make 8 0 } in
+  let full = Jpeg2000.Image.create_plane ~width:4 ~height:4 in
+  let raises f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (name, src, dst) ->
+      Alcotest.(check bool) (name ^ ": reference rejects") true
+        (raises (fun () ->
+             blit_row_reference ~src ~src_x:0 ~src_y:3 ~dst ~dst_x:0 ~dst_y:3
+               ~len:4));
+      Alcotest.(check bool) (name ^ ": blit_row rejects") true
+        (raises (fun () ->
+             Jpeg2000.Image.blit_row ~src ~src_x:0 ~src_y:3 ~dst ~dst_x:0
+               ~dst_y:3 ~len:4)))
+    [ ("short source", short, full); ("short destination", full, short) ]
+
 (* -- Colour -------------------------------------------------------- *)
 
 let test_dc_shift () =
@@ -1193,6 +1306,10 @@ let () =
           Alcotest.test_case "split/assemble" `Quick test_tile_split_assemble;
           Alcotest.test_case "border sizes" `Quick test_tile_border_sizes;
           qc tile_roundtrip_qcheck;
+          qc blit_row_matches_array_blit;
+          qc blit_row_rejects_as_before;
+          Alcotest.test_case "blit_row rejects short data" `Quick
+            test_blit_row_short_data;
         ] );
       ( "colour",
         [

@@ -71,6 +71,120 @@ let test_cache_digest_discriminates () =
   Alcotest.(check bool) "digest deterministic" true
     (Serve.Cache.digest "stream one" = a)
 
+(* -- FNV-1a folds ------------------------------------------------------ *)
+
+(* The boxed folds [Serve.Fnv] replaced, kept as its reference: each
+   step threads an [Int64] through a closure-captured ref. *)
+let ref_int h v = Int64.mul (Int64.logxor h (Int64.of_int v)) 0x100000001b3L
+
+let ref_ints h a =
+  let h = ref h in
+  Array.iter (fun v -> h := ref_int !h v) a;
+  !h
+
+let ref_string s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter (fun c -> h := ref_int !h (Char.code c)) s;
+  !h
+
+let ref_image h (image : Jpeg2000.Image.t) =
+  let h = ref h in
+  Array.iter
+    (fun (p : Jpeg2000.Image.plane) ->
+      let h' = ref_int (ref_int !h p.Jpeg2000.Image.width) p.Jpeg2000.Image.height in
+      h := ref_ints h' p.Jpeg2000.Image.data)
+    image.Jpeg2000.Image.planes;
+  !h
+
+(* Samples span 8-bit, negative and above-16-bit values, plus the
+   extremes of [int], so [Int64.of_int]'s sign extension is exercised. *)
+let sample_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int_range 0 255);
+        (3, int_range (-70000) 70000);
+        (1, oneofl [ min_int; max_int; -1; 1 lsl 40; -(1 lsl 40) ]);
+        (1, int);
+      ])
+
+let image_gen =
+  QCheck.Gen.(
+    triple (int_range 1 3) (int_range 1 9) (int_range 1 9)
+    >>= fun (components, width, height) ->
+    array_repeat components (array_repeat (width * height) sample_gen)
+    >|= fun planes ->
+    {
+      Jpeg2000.Image.planes =
+        Array.map (fun data -> { Jpeg2000.Image.width; height; data }) planes;
+      bit_depth = 8;
+    })
+
+let prop_fnv_image_matches_boxed =
+  QCheck.Test.make ~name:"Fnv.image and Fnv.ints equal the boxed fold"
+    ~count:300
+    QCheck.(pair int64 (make image_gen))
+    (fun (h, image) ->
+      Serve.Fnv.image h image = ref_image h image
+      && Array.for_all
+           (fun (p : Jpeg2000.Image.plane) ->
+             Serve.Fnv.ints h p.Jpeg2000.Image.data
+             = ref_ints h p.Jpeg2000.Image.data)
+           image.Jpeg2000.Image.planes)
+
+let prop_fnv_string_matches_boxed =
+  QCheck.Test.make ~name:"Cache.digest (Fnv.string) equals the boxed fold"
+    ~count:300 QCheck.string (fun s -> Serve.Cache.digest s = ref_string s)
+
+let test_fnv_short_strings () =
+  let hex = Printf.sprintf "%016Lx" in
+  Alcotest.(check string) "empty string is the basis" (hex Serve.Fnv.basis)
+    (hex (Serve.Cache.digest ""));
+  for c = 0 to 255 do
+    let s = String.make 1 (Char.chr c) in
+    Alcotest.(check string) (Printf.sprintf "byte %d" c) (hex (ref_string s))
+      (hex (Serve.Cache.digest s))
+  done
+
+let test_cache_digest_pinned () =
+  (* Cache keys and the fleet's ring positions derive from these
+     values; they must not move. *)
+  let hex s = Printf.sprintf "%016Lx" (Serve.Cache.digest s) in
+  List.iter
+    (fun (s, want) -> Alcotest.(check string) (Printf.sprintf "%S" s) want (hex s))
+    [
+      ("", "cbf29ce484222325");
+      ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+      ("stream one", "3b3257938af9984d");
+    ];
+  List.iteri
+    (fun i want ->
+      Alcotest.(check string)
+        (Printf.sprintf "codestream seed %d" (2008 + i))
+        want
+        (hex
+           (Models.Workload.codestream ~seed:(2008 + i)
+              Jpeg2000.Codestream.Lossless)))
+    [ "aa33d7d1d0be6fe9"; "f766fe94bfed3cb9"; "d5a306f679f947c6" ]
+
+let test_fnv_allocates_nothing () =
+  (* Native code keeps the running hash unboxed; bytecode boxes every
+     [Int64], so there is nothing to check there. *)
+  if Sys.backend_type = Sys.Native then begin
+    let image =
+      Jpeg2000.Image.noise ~width:64 ~height:64 ~components:3 ~seed:1
+    in
+    let s = String.make 4096 'x' in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Serve.Fnv.image Serve.Fnv.basis image));
+    ignore (Sys.opaque_identity (Serve.Cache.digest s));
+    let words = Gc.minor_words () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f minor words for 16 384 samples + 4096 bytes" words)
+      true (words < 64.0)
+  end
+
 (* -- workload specs --------------------------------------------------- *)
 
 let test_spec_parse_defaults () =
@@ -182,6 +296,59 @@ let prop_staged_matches_reduced =
       in
       Jpeg2000.Image.equal assembled
         (Jpeg2000.Decoder.decode_reduced ~discard_levels:discard data))
+
+(* -- region assembly ---------------------------------------------------- *)
+
+(* Streams whose sizes are not multiples of the 32-px tile, so windows
+   meet partial edge tiles, with every tile decoded once. *)
+let region_streams =
+  lazy
+    (let service =
+       Serve.Service.create
+         [|
+           Models.Workload.codestream ~width:72 ~height:56 ~seed:2008
+             Jpeg2000.Codestream.Lossless;
+           Models.Workload.codestream ~width:45 ~height:70 ~seed:2009
+             Jpeg2000.Codestream.Lossy;
+         |]
+     in
+     Array.map
+       (fun stream ->
+         let header = Serve.Service.stream_header stream in
+         let tiles =
+           Array.init (Serve.Service.stream_tile_count stream) (fun i ->
+               Jpeg2000.Decoder.decode_tile header
+                 (Serve.Service.stream_tile stream i))
+         in
+         (stream, tiles))
+       (Serve.Service.streams service))
+
+let prop_assemble_region_equals_crop =
+  QCheck.Test.make
+    ~name:"assemble Region equals a crop of assemble Full (needed_keys order)"
+    ~count:300
+    QCheck.(pair bool (quad small_nat small_nat small_nat small_nat))
+    (fun (second, (a, b, c, d)) ->
+      let stream, tiles =
+        (Lazy.force region_streams).(if second then 1 else 0)
+      in
+      let header = Serve.Service.stream_header stream in
+      let width = header.Jpeg2000.Codestream.width
+      and height = header.Jpeg2000.Codestream.height in
+      let rx = a mod width and ry = b mod height in
+      let rw = 1 + (c mod (width - rx)) and rh = 1 + (d mod (height - ry)) in
+      let target = Serve.Request.Region { rx; ry; rw; rh } in
+      let needed =
+        List.map
+          (fun (i, _) -> tiles.(i))
+          (Serve.Service.needed_keys stream target)
+      in
+      let full =
+        Serve.Service.assemble stream Serve.Request.Full (Array.to_list tiles)
+      in
+      Jpeg2000.Image.equal
+        (Serve.Service.assemble stream target needed)
+        (crop full ~x:rx ~y:ry ~w:rw ~h:rh))
 
 (* -- service ---------------------------------------------------------- *)
 
@@ -395,6 +562,32 @@ let test_ingest_clean_streaming_serves_all () =
       (i.Serve.Service.ing_bytes > 0)
   | None -> Alcotest.fail "report lacks ingest stats"
 
+(* -- golden reports ------------------------------------------------------ *)
+
+(* The README quickstarts, built as [osss_sim serve] builds them: the
+   default 128-px lossless corpus, seeds 2008, 2009, ... *)
+let cli_corpus n =
+  Array.init n (fun i ->
+      Models.Workload.codestream ~seed:(2008 + i) Jpeg2000.Codestream.Lossless)
+
+let test_golden_pixels_digests () =
+  let digest config spec =
+    let service = Serve.Service.create ~config (cli_corpus 3) in
+    (Serve.Service.run service (spec_exn spec)).Serve.Service.pixels_digest
+  in
+  Alcotest.(check string) "serve quickstart" "6a4bf2d66eff1a61"
+    (digest
+       {
+         Serve.Service.default_config with
+         Serve.Service.queue_capacity = 8;
+         overload = Serve.Service.Drop_oldest;
+       }
+       "open:n=200,rate=2000,seed=3");
+  Alcotest.(check string) "serve + ingest quickstart" "892e9cfcab81063b"
+    (digest
+       (ingest_config "chunk=256,loss=0.05,stall=0.2,stall_us=2000")
+       "open:n=48,rate=800,seed=7,deadline=8")
+
 (* -- profiling ------------------------------------------------------- *)
 
 let test_profile_jobs_and_rerun_identical () =
@@ -499,6 +692,17 @@ let () =
           Alcotest.test_case "bad capacity" `Quick test_lru_rejects_bad_capacity;
           Alcotest.test_case "digest" `Quick test_cache_digest_discriminates;
         ] );
+      ( "fnv",
+        [
+          qc prop_fnv_image_matches_boxed;
+          qc prop_fnv_string_matches_boxed;
+          Alcotest.test_case "empty and 1-byte strings" `Quick
+            test_fnv_short_strings;
+          Alcotest.test_case "cache digests pinned" `Quick
+            test_cache_digest_pinned;
+          Alcotest.test_case "allocates nothing" `Quick
+            test_fnv_allocates_nothing;
+        ] );
       ( "workload specs",
         [
           Alcotest.test_case "defaults" `Quick test_spec_parse_defaults;
@@ -515,6 +719,9 @@ let () =
           Alcotest.test_case "matches reference decoder" `Quick
             test_service_matches_reference_decoder;
           Alcotest.test_case "counters balance" `Quick test_service_counters_balance;
+          qc prop_assemble_region_equals_crop;
+          Alcotest.test_case "golden pixels digests" `Quick
+            test_golden_pixels_digests;
         ] );
       ( "overload policies",
         [
