@@ -771,7 +771,13 @@ let decode_robust_tiles ~pool header ~present ~missing =
       } )
 
 let decode_robust ?(pool = Par.Pool.sequential) data =
-  match Codestream.parse_result data with
+  (* One machine pass: its parse equals [Codestream.parse_result], and
+     on truncation it still holds the units the prefix completed. *)
+  let s = Stream.create () in
+  (match Stream.feed s data with
+  | Stream.Need_more | Stream.Segment_ready | Stream.Done | Stream.Corrupt _ ->
+    ());
+  match Stream.parse_result s with
   | Ok stream ->
     decode_robust_tiles ~pool stream.Codestream.header
       ~present:stream.Codestream.tiles ~missing:[]
@@ -780,11 +786,6 @@ let decode_robust ?(pool = Par.Pool.sequential) data =
        ingest path: salvage every tile segment the prefix completed
        and conceal the grid cells that never arrived. Only a prefix
        too short to deliver the preamble remains an error. *)
-    let s = Stream.create () in
-    (match Stream.feed s data with
-    | Stream.Need_more | Stream.Segment_ready | Stream.Done
-    | Stream.Corrupt _ ->
-      ());
     match Stream.header s with
     | None -> Error e
     | Some header ->

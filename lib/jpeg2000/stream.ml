@@ -12,8 +12,9 @@ type phase =
   | Corrupt of Codestream.error
 
 type t = {
-  buf : Buffer.t;
-  mutable pos : int;  (* parse cursor into [buf] *)
+  mutable data : string;
+      (* every byte fed so far; one copy per feed, none for the first *)
+  mutable pos : int;  (* parse cursor into [data] *)
   mutable phase : phase;
   mutable tiles_rev : Codestream.tile_segment list;
   mutable ready : int;
@@ -29,7 +30,7 @@ type status =
 
 let create () =
   {
-    buf = Buffer.create 4096;
+    data = "";
     pos = 0;
     phase = Preamble;
     tiles_rev = [];
@@ -41,7 +42,7 @@ let create () =
 (* Consume framing units while the buffer completes them; returns how
    many new units landed. *)
 let advance t =
-  let data = Buffer.contents t.buf in
+  let data = t.data in
   let landed = ref 0 in
   let rec loop () =
     match t.phase with
@@ -73,7 +74,7 @@ let advance t =
   loop ();
   !landed
 
-let trailing t = Buffer.length t.buf - t.pos
+let trailing t = String.length t.data - t.pos
 
 let status t : status =
   match t.phase with
@@ -83,12 +84,12 @@ let status t : status =
     else Corrupt (Codestream.Trailing (trailing t))
   | Preamble | Tiles _ ->
     if not t.finished then Need_more
-    else if Buffer.length t.buf < 4 then Corrupt Codestream.Bad_magic
+    else if String.length t.data < 4 then Corrupt Codestream.Bad_magic
     else begin
       (* At end-of-input a pending truncation is definitive; re-run
          the unit attempt to recover the exact offset [parse_result]
          would report. *)
-      let data = Buffer.contents t.buf in
+      let data = t.data in
       let step_err : _ Codestream.step -> status = function
         | Codestream.Unit_truncated off ->
           Corrupt (Codestream.Truncated off)
@@ -105,7 +106,7 @@ let status t : status =
 
 let feed t chunk =
   if t.finished then invalid_arg "Stream.feed: stream already finished";
-  Buffer.add_string t.buf chunk;
+  t.data <- (if t.data = "" then chunk else t.data ^ chunk);
   let landed = advance t in
   match status t with
   | (Done | Corrupt _) as s -> s
@@ -139,8 +140,8 @@ let tile t i =
   if i < 0 || i >= t.ready then invalid_arg "Stream.tile: index out of range";
   (tiles_array t).(i)
 
-let bytes_fed t = Buffer.length t.buf
-let received t = Buffer.contents t.buf
+let bytes_fed t = String.length t.data
+let received t = t.data
 
 let parse_result t =
   match finish t with
@@ -151,3 +152,27 @@ let parse_result t =
     | Preamble | Tiles _ | Corrupt _ -> assert false)
   | Corrupt e -> Error e
   | Need_more | Segment_ready -> assert false
+
+type layout = {
+  preamble_end : int option;
+  tile_count : int;
+  tile_ends : int array;
+}
+
+let layout data =
+  match Codestream.read_preamble data ~pos:0 with
+  | Codestream.Unit_truncated _ | Codestream.Unit_error _ ->
+    { preamble_end = None; tile_count = 0; tile_ends = [||] }
+  | Codestream.Unit_ready ((header, ntiles), pos) ->
+    let rec tiles acc pos n =
+      if n = 0 then acc
+      else
+        match Codestream.read_tile ~header data ~pos with
+        | Codestream.Unit_ready (_, pos') -> tiles (pos' :: acc) pos' (n - 1)
+        | Codestream.Unit_truncated _ | Codestream.Unit_error _ -> acc
+    in
+    {
+      preamble_end = Some pos;
+      tile_count = ntiles;
+      tile_ends = Array.of_list (List.rev (tiles [] pos ntiles));
+    }

@@ -69,3 +69,27 @@ val parse_result : t -> (Codestream.t, Codestream.error) result
 (** The definitive parse of everything fed so far, as if by
     {!Codestream.parse_result} on {!received}; implicitly finishes
     the stream. *)
+
+(** {1 Unit layout}
+
+    Where each framing unit of a byte string ends, read in one pass of
+    the same unit readers the machine drives. Unit parsing is
+    prefix-monotone (a unit read from a prefix either completes with
+    the very bytes it reads from the whole string or stops early) and
+    the machine is chunk-size invariant, so a machine fed any prefix
+    of length [l] has landed exactly the units whose end is [<= l]:
+    readiness over a delivery is a walk over these offsets, with no
+    machine, no copies and no re-parsing. A qcheck property in the
+    test suite checks the agreement at every prefix length. *)
+
+type layout = {
+  preamble_end : int option;
+      (** offset just past the preamble; [None] if it never parses *)
+  tile_count : int;  (** announced tile count; [0] without a preamble *)
+  tile_ends : int array;
+      (** end offset of every tile segment that parses before the first
+          framing error or truncation, in stream order (strictly
+          increasing, at most [tile_count] long) *)
+}
+
+val layout : string -> layout

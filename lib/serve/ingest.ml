@@ -1,24 +1,27 @@
 type t = {
   data : string;
   dlv : Faults.Ingest.delivery;
-  tile_landed : int array;  (* per stream-order tile; max_int = never *)
+  tile_landed : int array;
+      (* per tile of the layout, stream order; max_int = never *)
   complete : int;  (* instant all bytes landed; max_int = never *)
   prefix_steps : (int * int) array;
       (* (instant, contiguous prefix length), instants increasing *)
   received : int;  (* distinct payload bytes that ever arrive *)
 }
 
-let analyse ~seed spec ~start_ps data =
+let analyse ?layout ~seed spec ~start_ps data =
+  let layout =
+    match layout with Some l -> l | None -> Jpeg2000.Stream.layout data
+  in
   let dlv = Faults.Ingest.schedule ~seed spec ~start_ps data in
   let len = String.length data in
   let chunk = spec.Faults.Ingest.chunk_bytes in
   let nchunks = (len + chunk - 1) / chunk in
   let got = Array.make (Stdlib.max 1 nchunks) false in
   let frontier = ref 0 (* first chunk index not yet received *) in
-  let stream = Jpeg2000.Stream.create () in
-  let ntiles = ref (-1) in
-  let tile_landed = ref [||] in
-  let ready = ref 0 in
+  let ends = layout.Jpeg2000.Stream.tile_ends in
+  let tile_landed = Array.make (Array.length ends) max_int in
+  let ready = ref 0 (* first tile whose end the prefix has not reached *) in
   let complete = ref max_int in
   let steps = ref [ (min_int, 0) ] in
   let received = ref 0 in
@@ -31,35 +34,22 @@ let analyse ~seed spec ~start_ps data =
         let from = !frontier in
         while !frontier < nchunks && got.(!frontier) do incr frontier done;
         if !frontier > from then begin
-          (* the contiguous prefix grew: feed the new bytes *)
-          let lo = from * chunk in
+          (* the contiguous prefix grew: land every tile it now covers *)
           let hi = Stdlib.min len (!frontier * chunk) in
-          (match
-             Jpeg2000.Stream.feed stream (String.sub data lo (hi - lo))
-           with
-          | Jpeg2000.Stream.Need_more | Jpeg2000.Stream.Segment_ready
-          | Jpeg2000.Stream.Done | Jpeg2000.Stream.Corrupt _ ->
-            ());
-          steps := (c.Faults.Ingest.c_arrival_ps, hi) :: !steps;
-          (match Jpeg2000.Stream.tile_count stream with
-          | Some n when !ntiles < 0 ->
-            ntiles := n;
-            tile_landed := Array.make (Stdlib.max 1 n) max_int
-          | _ -> ());
-          let now_ready = Jpeg2000.Stream.tiles_ready stream in
-          for ti = !ready to now_ready - 1 do
-            !tile_landed.(ti) <- c.Faults.Ingest.c_arrival_ps
+          let at = c.Faults.Ingest.c_arrival_ps in
+          steps := (at, hi) :: !steps;
+          while !ready < Array.length ends && ends.(!ready) <= hi do
+            tile_landed.(!ready) <- at;
+            incr ready
           done;
-          ready := now_ready;
-          if hi = len && !complete = max_int then
-            complete := c.Faults.Ingest.c_arrival_ps
+          if hi = len && !complete = max_int then complete := at
         end
       end)
     dlv.Faults.Ingest.chunks;
   {
     data;
     dlv;
-    tile_landed = !tile_landed;
+    tile_landed;
     complete = !complete;
     prefix_steps = Array.of_list (List.rev !steps);
     received = !received;

@@ -42,6 +42,9 @@ type stream = {
   s_data : string;
   s_header : Jpeg2000.Codestream.header;
   s_tiles : Jpeg2000.Codestream.tile_segment array;
+  s_layout : Jpeg2000.Stream.layout;
+      (* unit end offsets, computed once: every ingest analysis of
+         this stream reads tile readiness off it *)
   s_reference : Jpeg2000.Image.t Lazy.t;
       (* clean full decode; the psnr_impact baseline for flushes *)
 }
@@ -70,6 +73,7 @@ let create ?(config = default_config) corpus =
             s_data = data;
             s_header = stream.Jpeg2000.Codestream.header;
             s_tiles = Array.of_list stream.Jpeg2000.Codestream.tiles;
+            s_layout = Jpeg2000.Stream.layout data;
             s_reference = lazy (Jpeg2000.Decoder.decode data);
           })
       corpus
@@ -391,7 +395,8 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
              Int64.max_int)
       in
       let d =
-        Ingest.analyse ~seed ing ~start_ps:r.Request.arrival_ps stream.s_data
+        Ingest.analyse ~layout:stream.s_layout ~seed ing
+          ~start_ps:r.Request.arrival_ps stream.s_data
       in
       Hashtbl.replace deliveries r.Request.id d;
       d

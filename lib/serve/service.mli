@@ -23,16 +23,16 @@
 
     With [config.ingest] set, request bytes no longer arrive whole:
     each request's codestream is delivered as a seeded
-    {!Faults.Ingest.schedule} of chunks replayed through the resumable
-    {!Jpeg2000.Stream} parser ({!Ingest.analyse}), and the request
-    only becomes dispatchable once every tile it resolves to has
-    landed. A stream that stalls past the request's deadline is
-    {e flushed}: the received contiguous prefix is decoded best-effort
-    by {!Jpeg2000.Decoder.decode_robust} (missing tiles concealed),
-    served as a full frame, and accounted in {!ingest_stats}. The
-    delivery timeline is a pure function of (workload seed, request
-    id, spec), so ingest reports stay byte-identical across reruns
-    and across any [--jobs]. *)
+    {!Faults.Ingest.schedule} of chunks, walked against the stream's
+    unit layout (computed once, at {!create}) by {!Ingest.analyse},
+    and the request only becomes dispatchable once every tile it
+    resolves to has landed. A stream that stalls past the request's
+    deadline is {e flushed}: the received contiguous prefix is decoded
+    best-effort by {!Jpeg2000.Decoder.decode_robust} (missing tiles
+    concealed), served as a full frame, and accounted in
+    {!ingest_stats}. The delivery timeline is a pure function of
+    (workload seed, request id, spec), so ingest reports stay
+    byte-identical across reruns and across any [--jobs]. *)
 
 type overload =
   | Reject  (** full queue: the arriving request is refused *)

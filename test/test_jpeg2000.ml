@@ -1040,26 +1040,16 @@ let test_stream_one_byte_chunks () =
        false
      with Invalid_argument _ -> true)
 
-(* Unit boundaries of the sample stream, via the incremental readers
-   themselves: end of preamble, then end of each tile segment. *)
-let unit_boundaries data =
-  match Jpeg2000.Codestream.read_preamble data ~pos:0 with
-  | Jpeg2000.Codestream.Unit_ready ((header, ntiles), pos) ->
-    let rec go acc pos n =
-      if n = 0 then List.rev acc
-      else
-        match Jpeg2000.Codestream.read_tile ~header data ~pos with
-        | Jpeg2000.Codestream.Unit_ready (_, pos') ->
-          go (pos' :: acc) pos' (n - 1)
-        | _ -> List.rev acc
-    in
-    (pos, go [] pos ntiles)
-  | _ -> Alcotest.fail "sample preamble did not parse"
-
 let test_stream_truncation_at_boundaries () =
   let data = Lazy.force stream_sample in
-  let preamble_end, tile_ends = unit_boundaries data in
+  (* unit boundaries: end of preamble, then end of each tile segment *)
+  let lay = Jpeg2000.Stream.layout data in
+  let preamble_end = Option.get lay.Jpeg2000.Stream.preamble_end in
+  let tile_ends = Array.to_list lay.Jpeg2000.Stream.tile_ends in
+  Alcotest.(check int) "six tiles announced" 6 lay.Jpeg2000.Stream.tile_count;
   Alcotest.(check int) "six tile units" 6 (List.length tile_ends);
+  Alcotest.(check int) "last unit ends the stream" (String.length data)
+    (List.nth tile_ends 5);
   (* Truncating at, just before and just after every marker boundary
      must agree with the batch parser, Truncated offsets included. *)
   List.iter
@@ -1113,6 +1103,125 @@ let test_parse_wrapper_routes_result () =
   expect "XXXXjunk";
   expect (String.sub data 0 (String.length data / 2));
   expect (data ^ "!")
+
+(* Hostile chunk feeds. Small bases keep the every-prefix check (one
+   machine fed a byte at a time) cheap: a lossless and a lossy stream
+   of 8x8 px in 4x4 tiles with one wavelet level, four tile units and
+   1.5-2 KB each. *)
+let fuzz_bases =
+  lazy
+    (let img = Jpeg2000.Image.smooth ~width:8 ~height:8 ~components:1 ~seed:5 in
+     let enc c =
+       Jpeg2000.Encoder.encode
+         { c with Jpeg2000.Encoder.tile_w = 4; tile_h = 4; levels = 1 }
+         img
+     in
+     [| enc Jpeg2000.Encoder.default_lossless; enc Jpeg2000.Encoder.default_lossy |])
+
+(* Bytes before the 16-bit tile-count field of the preamble. *)
+let preamble_fixed = 35
+
+let fuzz_input_gen =
+  QCheck.Gen.(
+    let* kind = int_range 0 5 in
+    let* base = int_range 0 1 in
+    let* a = int_range 0 99_999 in
+    let* junk = string_size ~gen:char (int_range 0 64) in
+    let* stomps = list_size (int_range 1 3) (pair (int_range 0 99_999) char) in
+    let+ cuts = list_size (int_range 0 12) (int_range 1 99_999) in
+    let b = (Lazy.force fuzz_bases).(base) in
+    let n = String.length b in
+    let stomp s range =
+      let s = Bytes.of_string s in
+      List.iter (fun (i, c) -> Bytes.set s (i mod range) c) stomps;
+      Bytes.to_string s
+    in
+    let data =
+      match kind with
+      | 0 ->
+        (* random bytes, half of them behind a valid magic + version *)
+        if a land 1 = 0 then junk else String.sub b 0 5 ^ junk
+      | 1 -> stomp b (preamble_fixed + 2) (* mutated header *)
+      | 2 ->
+        (* zero-tile header, then any amount of the old tile bytes *)
+        let z = Bytes.of_string b in
+        Bytes.set z preamble_fixed '\000';
+        Bytes.set z (preamble_fixed + 1) '\000';
+        Bytes.sub_string z 0 (preamble_fixed + 2 + (a mod (n - preamble_fixed - 1)))
+      | 3 -> String.sub b 0 (a mod (n + 1)) (* truncation *)
+      | 4 -> b ^ junk (* trailing bytes *)
+      | _ -> stomp b n (* bytes flipped anywhere *)
+    in
+    let m = String.length data in
+    let cuts =
+      List.sort_uniq Int.compare
+        (List.filter_map
+           (fun c ->
+             let c = c mod (m + 1) in
+             if c > 0 && c < m then Some c else None)
+           cuts)
+    in
+    (data, cuts))
+
+(* A machine fed [l] bytes agrees with the layout of the whole input:
+   it has landed exactly the tiles ending within [l], and it knows the
+   tile count iff the preamble ends within [l] and no framing error
+   has been seen yet. *)
+let layout_agrees (lay : Jpeg2000.Stream.layout) s l =
+  let within =
+    Array.fold_left
+      (fun k e -> if e <= l then k + 1 else k)
+      0 lay.Jpeg2000.Stream.tile_ends
+  in
+  Jpeg2000.Stream.tiles_ready s = within
+  &&
+  match (Jpeg2000.Stream.tile_count s, lay.Jpeg2000.Stream.preamble_end) with
+  | Some n, Some p -> p <= l && n = lay.Jpeg2000.Stream.tile_count
+  | Some _, None -> false
+  | None, None -> true
+  | None, Some p -> (
+    p > l
+    || match Jpeg2000.Stream.status s with
+       | Jpeg2000.Stream.Corrupt _ -> true
+       | _ -> false)
+
+let stream_fuzz_qcheck =
+  QCheck.Test.make ~name:"Stream survives hostile chunk feeds" ~count:1000
+    (QCheck.make
+       ~print:(fun (d, cuts) ->
+         Printf.sprintf "%S cut at [%s]" d
+           (String.concat ";" (List.map string_of_int cuts)))
+       fuzz_input_gen)
+    (fun (data, cuts) ->
+      let lay = Jpeg2000.Stream.layout data in
+      let n = String.length data in
+      (* every prefix length, one byte at a time *)
+      let s = Jpeg2000.Stream.create () in
+      if not (layout_agrees lay s 0) then QCheck.Test.fail_report "empty prefix";
+      String.iteri
+        (fun i c ->
+          ignore (Jpeg2000.Stream.feed s (String.make 1 c));
+          if not (layout_agrees lay s (i + 1)) then
+            QCheck.Test.fail_reportf "layout disagrees at prefix %d" (i + 1))
+        data;
+      (* random chunk boundaries: no raise, same parse as the batch
+         parser, agreement at every boundary *)
+      let s = Jpeg2000.Stream.create () in
+      let rec go pos cuts =
+        let next = match cuts with [] -> n | c :: _ -> c in
+        ignore (Jpeg2000.Stream.feed s (String.sub data pos (next - pos)));
+        if not (layout_agrees lay s next) then
+          QCheck.Test.fail_reportf "layout disagrees at cut %d" next;
+        match cuts with [] -> () | _ :: rest -> go next rest
+      in
+      go 0 cuts;
+      let fin = Jpeg2000.Stream.finish s in
+      if Jpeg2000.Stream.finish s <> fin then
+        QCheck.Test.fail_report "finish not idempotent";
+      (match Jpeg2000.Stream.feed s "x" with
+      | _ -> QCheck.Test.fail_report "feed after finish did not raise"
+      | exception Invalid_argument _ -> ());
+      Jpeg2000.Stream.parse_result s = Jpeg2000.Codestream.parse_result data)
 
 (* -- flat coefficient planes ----------------------------------------
 
@@ -1382,6 +1491,7 @@ let () =
       ( "stream",
         [
           qc stream_chunk_invariance_qcheck;
+          qc stream_fuzz_qcheck;
           Alcotest.test_case "one-byte chunks" `Quick test_stream_one_byte_chunks;
           Alcotest.test_case "truncation at marker boundaries" `Quick
             test_stream_truncation_at_boundaries;

@@ -562,6 +562,159 @@ let test_ingest_clean_streaming_serves_all () =
       (i.Serve.Service.ing_bytes > 0)
   | None -> Alcotest.fail "report lacks ingest stats"
 
+(* The machine-replay oracle for [Serve.Ingest.analyse]: every
+   contiguous extension of the prefix is fed to one [Jpeg2000.Stream]
+   and each tile is stamped with the arrival that made the machine
+   report it parsed. A machine that turns corrupt in the feed that
+   completed its preamble never reports a tile count, so
+   [tile_landed] grows to cover the tiles it did parse. *)
+type oracle = {
+  o_dlv : Faults.Ingest.delivery;
+  o_tile_landed : int array;
+  o_complete : int;
+  o_steps : (int * int) array;
+  o_received : int;
+}
+
+let oracle_analyse ~seed spec ~start_ps data =
+  let dlv = Faults.Ingest.schedule ~seed spec ~start_ps data in
+  let len = String.length data in
+  let chunk = spec.Faults.Ingest.chunk_bytes in
+  let nchunks = (len + chunk - 1) / chunk in
+  let got = Array.make (Stdlib.max 1 nchunks) false in
+  let frontier = ref 0 in
+  let stream = Jpeg2000.Stream.create () in
+  let ntiles = ref (-1) in
+  let tile_landed = ref [||] in
+  let ready = ref 0 in
+  let complete = ref max_int in
+  let steps = ref [ (min_int, 0) ] in
+  let received = ref 0 in
+  List.iter
+    (fun (c : Faults.Ingest.chunk) ->
+      let i = c.Faults.Ingest.c_offset / chunk in
+      if not got.(i) then begin
+        got.(i) <- true;
+        received := !received + String.length c.Faults.Ingest.c_bytes;
+        let from = !frontier in
+        while !frontier < nchunks && got.(!frontier) do incr frontier done;
+        if !frontier > from then begin
+          let lo = from * chunk in
+          let hi = Stdlib.min len (!frontier * chunk) in
+          ignore (Jpeg2000.Stream.feed stream (String.sub data lo (hi - lo)));
+          steps := (c.Faults.Ingest.c_arrival_ps, hi) :: !steps;
+          (match Jpeg2000.Stream.tile_count stream with
+          | Some n when !ntiles < 0 ->
+            ntiles := n;
+            tile_landed := Array.make (Stdlib.max 1 n) max_int
+          | _ -> ());
+          let now_ready = Jpeg2000.Stream.tiles_ready stream in
+          let have = Array.length !tile_landed in
+          if now_ready > have then
+            tile_landed :=
+              Array.append !tile_landed (Array.make (now_ready - have) max_int);
+          for ti = !ready to now_ready - 1 do
+            !tile_landed.(ti) <- c.Faults.Ingest.c_arrival_ps
+          done;
+          ready := now_ready;
+          if hi = len && !complete = max_int then
+            complete := c.Faults.Ingest.c_arrival_ps
+        end
+      end)
+    dlv.Faults.Ingest.chunks;
+  {
+    o_dlv = dlv;
+    o_tile_landed = !tile_landed;
+    o_complete = !complete;
+    o_steps = Array.of_list (List.rev !steps);
+    o_received = !received;
+  }
+
+let oracle_tile_landed_ps o i =
+  if i < 0 || i >= Array.length o.o_tile_landed then max_int
+  else o.o_tile_landed.(i)
+
+let oracle_prefix_at o data instant =
+  let best = ref 0 in
+  Array.iter
+    (fun (ts, n) -> if ts <= instant && n > !best then best := n)
+    o.o_steps;
+  String.sub data 0 !best
+
+let ingest_oracle_bases =
+  lazy
+    (Array.append (corpus ())
+       [|
+         Models.Workload.codestream ~width:64 ~height:64 ~seed:2010
+           Jpeg2000.Codestream.Lossy;
+       |])
+
+let ingest_oracle_specs =
+  Array.map
+    (fun s ->
+      match Faults.Ingest.parse_spec s with
+      | Ok spec -> spec
+      | Error e -> failwith e)
+    [|
+      "chunk=1024,loss=0.001,stall=0.01,stall_us=3000";
+      "chunk=97,loss=0.2,dup=0.2,reorder=0.3,window=5,stall=0.3";
+      "chunk=61,dup=0.1,reorder=0.5,window=8";
+    |]
+
+let prop_ingest_matches_replay_oracle =
+  QCheck.Test.make ~name:"Ingest.analyse equals the Stream-replay oracle"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         let* base = int_range 0 2 in
+         let* variant = int_range 0 4 in
+         let* a = int_range 0 99_999 in
+         let* b = char in
+         let* junk = string_size ~gen:char (int_range 1 40) in
+         let* spec = int_range 0 2 in
+         let* seed = int_range 0 1_000_000 in
+         let+ start_ps = int_range 0 1_000_000_000 in
+         (base, variant, a, b, junk, spec, seed, start_ps)))
+    (fun (base, variant, a, b, junk, spec, seed, start_ps) ->
+      let clean = (Lazy.force ingest_oracle_bases).(base) in
+      let n = String.length clean in
+      let data =
+        match variant with
+        | 0 -> clean
+        | 1 -> String.sub clean 0 (a mod (n + 1)) (* truncated *)
+        | 2 ->
+          (* one byte flipped *)
+          let x = Bytes.of_string clean in
+          Bytes.set x (a mod n) b;
+          Bytes.to_string x
+        | 3 -> clean ^ junk (* trailing garbage *)
+        | _ -> String.sub clean 0 (a mod 4) (* shorter than the magic *)
+      in
+      let spec = ingest_oracle_specs.(spec) in
+      let o = oracle_analyse ~seed spec ~start_ps data in
+      let d = Serve.Ingest.analyse ~seed spec ~start_ps data in
+      let ntiles =
+        (Jpeg2000.Stream.layout data).Jpeg2000.Stream.tile_count
+      in
+      let tiles_agree =
+        List.for_all
+          (fun i -> Serve.Ingest.tile_landed_ps d i = oracle_tile_landed_ps o i)
+          (List.init (ntiles + 2) (fun i -> i - 1))
+      in
+      let prefixes_agree =
+        List.for_all
+          (fun (c : Faults.Ingest.chunk) ->
+            List.for_all
+              (fun t ->
+                Serve.Ingest.prefix_at d t = oracle_prefix_at o data t)
+              [ c.Faults.Ingest.c_arrival_ps - 1; c.Faults.Ingest.c_arrival_ps ])
+          o.o_dlv.Faults.Ingest.chunks
+      in
+      tiles_agree && prefixes_agree
+      && Serve.Ingest.complete_ps d = o.o_complete
+      && Serve.Ingest.bytes_received d = o.o_received
+      && Serve.Ingest.delivery d = o.o_dlv)
+
 (* -- golden reports ------------------------------------------------------ *)
 
 (* The README quickstarts, built as [osss_sim serve] builds them: the
@@ -747,5 +900,6 @@ let () =
             test_ingest_flush_equals_robust_prefix;
           Alcotest.test_case "clean streaming serves all" `Quick
             test_ingest_clean_streaming_serves_all;
+          qc prop_ingest_matches_replay_oracle;
         ] );
     ]
