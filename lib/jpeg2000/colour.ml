@@ -5,9 +5,20 @@ let dc_shift_forward ~bit_depth samples =
 let dc_shift_inverse ~bit_depth samples =
   let offset = 1 lsl (bit_depth - 1) in
   let top = (1 lsl bit_depth) - 1 in
-  Array.iteri
-    (fun i v -> samples.(i) <- Stdlib.max 0 (Stdlib.min top (v + offset)))
-    samples
+  for i = 0 to Array.length samples - 1 do
+    let v = samples.(i) + offset in
+    samples.(i) <- (if v < 0 then 0 else if v > top then top else v)
+  done
+
+let round_shift_inverse ~bit_depth values =
+  let offset = 1 lsl (bit_depth - 1) in
+  let top = (1 lsl bit_depth) - 1 in
+  let samples = Array.make (Array.length values) 0 in
+  for i = 0 to Array.length values - 1 do
+    let v = int_of_float (Float.round values.(i)) + offset in
+    samples.(i) <- (if v < 0 then 0 else if v > top then top else v)
+  done;
+  samples
 
 let check_lengths a b c name =
   if Array.length a <> Array.length b || Array.length b <> Array.length c then

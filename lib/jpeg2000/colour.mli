@@ -22,6 +22,11 @@ val dc_shift_forward : bit_depth:int -> int array -> unit
 val dc_shift_inverse : bit_depth:int -> int array -> unit
 (** Adds [2^(bit_depth-1)] and clamps to [0 .. 2^bit_depth - 1]. *)
 
+val round_shift_inverse : bit_depth:int -> float array -> int array
+(** The lossy path's last step in one pass: rounds every sample to the
+    nearest integer ([Float.round]), then {!dc_shift_inverse}s it into
+    a fresh array. *)
+
 val rct_forward : int array -> int array -> int array -> unit
 (** In-place RGB → (Y, Cb, Cr) reversible transform on three equally
     long arrays. *)

@@ -77,7 +77,8 @@ val inverse_wavelet :
 
 val inverse_colour_and_shift :
   Codestream.header -> Codestream.tile_segment -> wavelet_domain -> Tile.t
-(** Stage 4 (ICT + DC shift): back to unsigned samples. *)
+(** Stage 4 (ICT + DC shift): back to unsigned samples. Consumes the
+    domain: the colour transform runs in place on its planes. *)
 
 val decode_tile :
   ?max_passes:int ->
@@ -245,22 +246,6 @@ val finish_staged_ok : staged -> bool array -> Tile.t * int
     tile with the concealed-block count (the [false] entries). Raises
     [Invalid_argument] if the result count does not match
     {!staged_jobs}. *)
-
-val staged_job : staged -> int -> int array option
-(** Compat protocol: decodes job [i] into a fresh array without
-    touching the staged planes. Pure with respect to shared state —
-    jobs of any staged tiles may run concurrently on pool workers.
-    [None] marks a damaged block (containment, as in
-    {!entropy_decode_tile_robust}); on a well-formed stream every job
-    is [Some]. [{!staged_job} + {!finish_staged}] and [{!staged_run} +
-    {!finish_staged_ok}] write the same rectangles with the same
-    values and are interchangeable bit for bit. *)
-
-val finish_staged : staged -> int array option array -> Tile.t * int
-(** Places the job results (in job order), conceals [None] blocks,
-    and runs IQ, IDWT and ICT/DC-shift. Returns the tile and the
-    concealed-block count. Raises [Invalid_argument] if the result
-    count does not match {!staged_jobs}. *)
 
 val reduced_size : int -> int -> int
 (** [reduced_size n d] is the length of an [n]-sample dimension after

@@ -116,6 +116,7 @@ let flat_even line even n =
 
 let inverse_level_flat p ~w ~h =
   let pw = Plane.width p in
+  let data = Plane.data p in
   let line = Plane.Scratch.ints (Stdlib.max w h) in
   let even = Plane.Scratch.ints2 ((Stdlib.max w h / 2) + 1) in
   (* Columns first, then rows — the order of [inverse_level]. *)
@@ -123,15 +124,15 @@ let inverse_level_flat p ~w ~h =
     let nl = (h + 1) / 2 and nh = h / 2 in
     for x = 0 to w - 1 do
       for i = 0 to h - 1 do
-        line.(i) <- Plane.unsafe_get p ((i * pw) + x)
+        line.(i) <- Bigarray.Array1.unsafe_get data ((i * pw) + x)
       done;
       flat_even line even h;
       for i = 0 to nl - 1 do
-        Plane.unsafe_set p ((2 * i * pw) + x) even.(i)
+        Bigarray.Array1.unsafe_set data ((2 * i * pw) + x) even.(i)
       done;
       for i = 0 to nh - 1 do
         let e1 = if i + 1 >= nl then even.(nl - 1) else even.(i + 1) in
-        Plane.unsafe_set p
+        Bigarray.Array1.unsafe_set data
           ((((2 * i) + 1) * pw) + x)
           (line.(nl + i) + ((even.(i) + e1) asr 1))
       done
@@ -142,15 +143,15 @@ let inverse_level_flat p ~w ~h =
     for y = 0 to h - 1 do
       let base = y * pw in
       for i = 0 to w - 1 do
-        line.(i) <- Plane.unsafe_get p (base + i)
+        line.(i) <- Bigarray.Array1.unsafe_get data (base + i)
       done;
       flat_even line even w;
       for i = 0 to nl - 1 do
-        Plane.unsafe_set p (base + (2 * i)) even.(i)
+        Bigarray.Array1.unsafe_set data (base + (2 * i)) even.(i)
       done;
       for i = 0 to nh - 1 do
         let e1 = if i + 1 >= nl then even.(nl - 1) else even.(i + 1) in
-        Plane.unsafe_set p
+        Bigarray.Array1.unsafe_set data
           (base + (2 * i) + 1)
           (line.(nl + i) + ((even.(i) + e1) asr 1))
       done

@@ -29,17 +29,26 @@ let gamma = 0.882911075530934
 let delta = 0.443506852043971
 let kappa = 1.230174104914001
 
-let reflect n i = if i < 0 then -i else if i >= n then (2 * n) - 2 - i else i
-
-(* One lifting step over the interleaved signal: for every index with
-   the given parity, add coef * (left neighbour + right neighbour). *)
+(* One lifting step over the interleaved signal (n >= 2): for every
+   index with the given parity, add coef * (left neighbour + right
+   neighbour). Whole-sample symmetric extension only touches the two
+   ends — index 0 reflects its left neighbour to 1, index n - 1 its
+   right neighbour to n - 2 — so the interior runs without [reflect]. *)
 let lift y n ~parity coef =
-  let v i = y.(reflect n i) in
   let i = ref parity in
-  while !i < n do
-    y.(!i) <- y.(!i) +. (coef *. (v (!i - 1) +. v (!i + 1)));
-    i := !i + 2
-  done
+  if parity = 0 then begin
+    y.(0) <- y.(0) +. (coef *. (y.(1) +. y.(1)));
+    i := 2
+  end;
+  while !i < n - 1 do
+    let k = !i in
+    y.(k) <- y.(k) +. (coef *. (y.(k - 1) +. y.(k + 1)));
+    i := k + 2
+  done;
+  if !i = n - 1 then begin
+    let k = !i in
+    y.(k) <- y.(k) +. (coef *. (y.(k - 1) +. y.(k - 1)))
+  end
 
 let forward_1d src =
   let n = Array.length src in

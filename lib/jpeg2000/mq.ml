@@ -51,12 +51,30 @@ let qe_table =
     (0x5601, 46, 46, 0);
   |]
 
-let qe i = let (v, _, _, _) = qe_table.(i) in v
-let nmps i = let (_, v, _, _) = qe_table.(i) in v
-let nlps i = let (_, _, v, _) = qe_table.(i) in v
-let switch i = let (_, _, _, v) = qe_table.(i) in v
+(* The adaptive state of a context packed into one int,
+   [index lsl 1 lor mps], and the three transitions precomputed over
+   that packed state: [qe_of] its probability, [mps_next] the state
+   after an MPS renormalisation, [lps_next] the state after an LPS
+   (the SWITCH exchange folded in). Encoder and decoder both read
+   these, so a decision costs three int-array loads and no tuple. *)
+let states = 2 * Array.length qe_table
 
-type context = { mutable index : int; mutable mps : int }
+let qe_of =
+  Array.init states (fun st ->
+      let (q, _, _, _) = qe_table.(st lsr 1) in
+      q)
+
+let mps_next =
+  Array.init states (fun st ->
+      let (_, nmps, _, _) = qe_table.(st lsr 1) in
+      (nmps lsl 1) lor (st land 1))
+
+let lps_next =
+  Array.init states (fun st ->
+      let (_, _, nlps, switch) = qe_table.(st lsr 1) in
+      (nlps lsl 1) lor ((st land 1) lxor switch))
+
+type context = { mutable st : int }
 
 let check_state index mps =
   if index < 0 || index >= Array.length qe_table then
@@ -65,15 +83,14 @@ let check_state index mps =
 
 let context ?(index = 0) ?(mps = 0) () =
   check_state index mps;
-  { index; mps }
+  { st = (index lsl 1) lor mps }
 
 let reset_context ctx ~index ~mps =
   check_state index mps;
-  ctx.index <- index;
-  ctx.mps <- mps
+  ctx.st <- (index lsl 1) lor mps
 
-let context_index ctx = ctx.index
-let context_mps ctx = ctx.mps
+let context_index ctx = ctx.st lsr 1
+let context_mps ctx = ctx.st land 1
 
 (* -- Encoder --------------------------------------------------------
 
@@ -144,13 +161,14 @@ let renorm_enc e =
 
 let encode e ctx bit =
   if bit <> 0 && bit <> 1 then invalid_arg "Mq.encode: bit";
-  let q = qe ctx.index in
-  if bit = ctx.mps then begin
+  let st = ctx.st in
+  let q = qe_of.(st) in
+  if bit = st land 1 then begin
     (* CODEMPS *)
     e.a <- e.a - q;
     if e.a land 0x8000 = 0 then begin
       if e.a < q then e.a <- q else e.c <- e.c + q;
-      ctx.index <- nmps ctx.index;
+      ctx.st <- mps_next.(st);
       renorm_enc e
     end
     else e.c <- e.c + q
@@ -159,8 +177,7 @@ let encode e ctx bit =
     (* CODELPS *)
     e.a <- e.a - q;
     if e.a < q then e.c <- e.c + q else e.a <- q;
-    if switch ctx.index = 1 then ctx.mps <- 1 - ctx.mps;
-    ctx.index <- nlps ctx.index;
+    ctx.st <- lps_next.(st);
     renorm_enc e
   end
 
@@ -231,51 +248,47 @@ let renorm_dec d =
     if d.d_a land 0x8000 <> 0 then continue := false
   done
 
+(* Annex C.3.2 DECODE with the conditional exchange. The decided
+   symbol is the MPS exactly when the state moves to [mps_next] (or
+   stays), the LPS when it moves to [lps_next]. *)
 let decode d ctx =
-  let q = qe ctx.index in
-  d.d_a <- d.d_a - q;
-  let decision =
-    if (d.d_c lsr 16) land 0xFFFF < q then begin
-      (* LPS path (chigh < Qe): conditional exchange *)
+  let st = ctx.st in
+  let q = qe_of.(st) in
+  let a = d.d_a - q in
+  if (d.d_c lsr 16) land 0xFFFF < q then begin
+    (* LPS path (chigh < Qe): conditional exchange *)
+    let bit =
+      if a < q then begin
+        ctx.st <- mps_next.(st);
+        st land 1
+      end
+      else begin
+        ctx.st <- lps_next.(st);
+        1 - (st land 1)
+      end
+    in
+    d.d_a <- q;
+    renorm_dec d;
+    bit
+  end
+  else begin
+    d.d_c <- d.d_c - (q lsl 16);
+    d.d_a <- a;
+    if a land 0x8000 = 0 then begin
       let bit =
-        if d.d_a < q then begin
-          let bit = ctx.mps in
-          ctx.index <- nmps ctx.index;
-          bit
+        if a < q then begin
+          ctx.st <- lps_next.(st);
+          1 - (st land 1)
         end
         else begin
-          let bit = 1 - ctx.mps in
-          if switch ctx.index = 1 then ctx.mps <- 1 - ctx.mps;
-          ctx.index <- nlps ctx.index;
-          bit
+          ctx.st <- mps_next.(st);
+          st land 1
         end
       in
-      d.d_a <- q;
       renorm_dec d;
       bit
     end
-    else begin
-      d.d_c <- d.d_c - (q lsl 16);
-      if d.d_a land 0x8000 = 0 then begin
-        let bit =
-          if d.d_a < q then begin
-            let bit = 1 - ctx.mps in
-            if switch ctx.index = 1 then ctx.mps <- 1 - ctx.mps;
-            ctx.index <- nlps ctx.index;
-            bit
-          end
-          else begin
-            let bit = ctx.mps in
-            ctx.index <- nmps ctx.index;
-            bit
-          end
-        in
-        renorm_dec d;
-        bit
-      end
-      else ctx.mps
-    end
-  in
-  decision
+    else st land 1
+  end
 
 let consumed_bytes d = d.pos + 1

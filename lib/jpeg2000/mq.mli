@@ -3,8 +3,11 @@
     The adaptive arithmetic coder underneath EBCOT: a 47-state
     probability estimation table, conditional MPS/LPS exchange,
     byte-stuffing after [0xFF], and the standard FLUSH termination.
-    Contexts carry the adaptive state (table index + current MPS) and
-    are shared between the Tier-1 passes exactly as in the standard.
+    Contexts carry the adaptive state (table index + current MPS),
+    packed into one int, and are shared between the Tier-1 passes
+    exactly as in the standard. The state transitions are precomputed
+    over that packed state, once, and the encoder and decoder share
+    them.
 
     The encoder and decoder here are mutually consistent by
     construction and are exercised against each other by property

@@ -7,11 +7,9 @@
    from the hot path. The buffer lives outside the GC'd heap and is
    never scanned. *)
 
-type t = {
-  pw : int;
-  ph : int;
-  data : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
-}
+type data = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type t = { pw : int; ph : int; data : data }
 
 let create ~w ~h =
   if w <= 0 || h <= 0 then invalid_arg "Plane.create: size";
@@ -21,6 +19,7 @@ let create ~w ~h =
 
 let width p = p.pw
 let height p = p.ph
+let data p = p.data
 
 let get p ~x ~y =
   if x < 0 || x >= p.pw || y < 0 || y >= p.ph then
@@ -59,7 +58,11 @@ let blit_block p ~x0 ~y0 ~w ~h block =
   done
 
 let to_array p =
-  Array.init (p.pw * p.ph) (fun i -> Bigarray.Array1.unsafe_get p.data i)
+  let a = Array.make (p.pw * p.ph) 0 in
+  for i = 0 to Array.length a - 1 do
+    Array.unsafe_set a i (Bigarray.Array1.unsafe_get p.data i)
+  done;
+  a
 
 let of_array ~w ~h data =
   if Array.length data <> w * h then invalid_arg "Plane.of_array: length";

@@ -23,6 +23,16 @@ val create : w:int -> h:int -> t
 val width : t -> int
 val height : t -> int
 
+type data = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+val data : t -> data
+(** The backing buffer, row-major, [width * height] long. Inner loops
+    in other modules index it with [Bigarray.Array1] primitives, which
+    the compiler expands in place; a call to {!unsafe_get} from another
+    module stays a real call per sample, because modules are compiled
+    [-opaque] in the default dev profile. Bounds are the caller's
+    responsibility. *)
+
 val get : t -> x:int -> y:int -> int
 val set : t -> x:int -> y:int -> int -> unit
 (** Bounds-checked single-coefficient access ([Invalid_argument]

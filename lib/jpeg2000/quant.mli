@@ -20,10 +20,22 @@ val dequantise : step:float -> int array -> float array
 (** Mid-point reconstruction: 0 maps to 0, otherwise
     [sign(q) * (|q| + 0.5) * step]. *)
 
-val dequantise_one : step:float -> int -> float
-(** One coefficient of {!dequantise} — the flat decode path applies it
-    per band rectangle without materialising the boxed array. No step
-    validation (the caller obtained [step] from {!step_for}). *)
+val dequantise_rect :
+  step:float ->
+  Plane.data ->
+  float array ->
+  stride:int ->
+  x0:int ->
+  y0:int ->
+  w:int ->
+  h:int ->
+  unit
+(** {!dequantise} over one rectangle of a flat plane, written to the
+    same positions of a float plane of the same [stride] (the flat
+    decode path's IQ, one band at a time, without a boxed
+    intermediate array). One bounds check per rectangle: raises
+    [Invalid_argument] if it leaves either plane. No step validation
+    (the caller obtained [step] from {!step_for}). *)
 
 val max_error : step:float -> float
 (** Upper bound of [|dequantise (quantise x) - x|]: one full step (the

@@ -204,13 +204,13 @@ let mr_context b p x y =
   then 14
   else 15
 
-(* Mark (x, y) significant: its own state bits plus the incremental
-   neighbour significance/sign bits of the eight surrounding cells
-   (padding absorbs the out-of-block writes). *)
-let set_significant b ~x ~y ~neg =
+(* Mark the coefficient at flags position [p] significant: its own
+   state bits plus the incremental neighbour significance/sign bits of
+   the eight surrounding cells (padding absorbs the out-of-block
+   writes). *)
+let set_significant b p ~neg =
   let fl = b.flags in
   let s = b.stride in
-  let p = pos b x y in
   fl.(p) <- fl.(p) lor f_sig lor f_became lor (if neg then f_sign else 0);
   fl.(p - 1) <- fl.(p - 1) lor f_nb_e lor (if neg then f_sg_e else 0);
   fl.(p + 1) <- fl.(p + 1) lor f_nb_w lor (if neg then f_sg_w else 0);
@@ -224,7 +224,9 @@ let set_significant b ~x ~y ~neg =
 (* The bit-level interface that distinguishes encoder and decoder:
    every function codes (or decodes) through the shared MQ state and
    returns the actual bit value so the pass drivers below can be
-   written once. *)
+   written once. These drivers serve the encoder and the [~lut:false]
+   reference decoder; the decode kernel further down specialises the
+   same passes for decoding. *)
 type io = {
   coeff_bit : x:int -> y:int -> plane:int -> ctx:int -> int;
       (** zero-coding or refinement bit for one coefficient *)
@@ -242,7 +244,7 @@ type io = {
 let make_significant b io ~x ~y ~plane =
   let sc = sc_packed b (pos b x y) x y in
   let s = io.sign_bit ~x ~y ~ctx:(sc lsr 1) ~xor:(sc land 1) in
-  set_significant b ~x ~y ~neg:(s = 1);
+  set_significant b (pos b x y) ~neg:(s = 1);
   io.on_significant ~x ~y ~plane
 
 (* One coefficient of a cleanup or significance pass: zero-coding
@@ -343,31 +345,19 @@ let clear_plane_flags b =
     fl.(i) <- fl.(i) land keep
   done
 
-let code_plane b io ~plane ~first =
-  if not first then begin
-    significance_pass b io ~plane;
-    refinement_pass b io ~plane
-  end;
-  cleanup_pass b io ~plane;
-  clear_plane_flags b
+(* The standard pass sequence, derived from the pass index: pass 0
+   is the top plane's cleanup, then every lower plane runs
+   significance propagation, refinement, cleanup. [pass_kind] is 0,
+   1, 2 for those three. *)
+let pass_plane ~planes i = planes - 1 - ((i + 2) / 3)
+let pass_kind i = (i + 2) mod 3
 
-(* The same plane schedule expressed as the standard pass sequence:
-   the top plane has only its cleanup pass, every lower plane runs
-   significance propagation, refinement, cleanup. *)
-type pass_kind = Significance | Refinement | Cleanup
-
-let pass_schedule ~planes =
-  List.concat
-    (List.init planes (fun i ->
-         let plane = planes - 1 - i in
-         if i = 0 then [ (Cleanup, plane) ]
-         else [ (Significance, plane); (Refinement, plane); (Cleanup, plane) ]))
-
-let run_pass b io (kind, plane) =
-  match kind with
-  | Significance -> significance_pass b io ~plane
-  | Refinement -> refinement_pass b io ~plane
-  | Cleanup ->
+let run_pass b io ~planes i =
+  let plane = pass_plane ~planes i in
+  match pass_kind i with
+  | 0 -> significance_pass b io ~plane
+  | 1 -> refinement_pass b io ~plane
+  | _ ->
     cleanup_pass b io ~plane;
     clear_plane_flags b
 
@@ -380,8 +370,6 @@ let num_planes coeffs =
 
 let check_dims ~w ~h len =
   if w <= 0 || h <= 0 || len <> w * h then invalid_arg "T1: dimensions"
-
-let negative b x y = b.flags.(pos b x y) land f_sign <> 0
 
 let make_encoder_io b enc coeffs w =
   let magnitude x y = abs coeffs.((y * w) + x) in
@@ -424,8 +412,8 @@ let encode_block ?lut ~orientation ~w ~h coeffs =
     let b = make_blk ?lut ~orientation ~w ~h () in
     let enc = ref (Mq.encoder ()) in
     let io = make_encoder_io b enc coeffs w in
-    for plane = planes - 1 downto 0 do
-      code_plane b io ~plane ~first:(plane = planes - 1)
+    for i = 0 to total_passes ~planes - 1 do
+      run_pass b io ~planes i
     done;
     (planes, Mq.flush !enc)
   end
@@ -447,25 +435,217 @@ let make_decoder_io b dec magnitudes w =
     on_refine = (fun ~x ~y ~plane ~bit -> if bit = 1 then set_bit x y plane);
   }
 
-let signed_result b magnitudes =
-  Array.init (b.w * b.h) (fun i ->
-      let x = i mod b.w and y = i / b.w in
-      let m = magnitudes.(i) in
-      if negative b x y then -m else m)
+(* -- decode kernel ------------------------------------------------------
+
+   The three passes again, specialised for decoding: every decision
+   is one direct [Mq.decode] on a context picked from the flags word
+   and the zero-coding/sign-coding LUTs read in place, and a decoded
+   plane bit goes straight into the row-major magnitude buffer. No
+   [io] record, no closure and no boxed value per coefficient; the
+   decisions are made in the order of the [io] drivers above, so the
+   output is identical to the [~lut:false] reference decoder, which
+   the kernel-oracle property tests pin. [one] is [1 lsl plane]. A
+   coefficient at (x, y) sits at [p = (y + 1) * stride + x + 1] in the
+   flags and at [i = y * w + x] in the magnitudes. *)
+
+let imin (a : int) b = if a < b then a else b
+
+(* The sign of a coefficient that just became significant. *)
+let dec_sign b dec mag p i one =
+  let f = b.flags.(p) in
+  let sc =
+    lut_sc.(((f lsr nb_shift) land 0xF) lor (((f lsr sg_shift) land 0xF) lsl 4))
+  in
+  let neg = Mq.decode dec b.contexts.(sc lsr 1) lxor (sc land 1) = 1 in
+  set_significant b p ~neg;
+  mag.(i) <- mag.(i) lor one
+
+(* Zero coding plus the sign on a 1 bit. *)
+let dec_zc b dec mag p i one =
+  let ctx = b.zc_lut.((b.flags.(p) lsr nb_shift) land 0xFF) in
+  if Mq.decode dec b.contexts.(ctx) = 1 then dec_sign b dec mag p i one
+
+(* The passes walk the block stripe column by stripe column: [p0] and
+   [i0] address the column's top coefficient, [rows] is its height (4,
+   or less in the last stripe). A full column is first tested as a
+   whole from its four flags words, and skipped when no coefficient in
+   it can be coded by the pass. *)
+
+let dec_significance b dec mag one =
+  let fl = b.flags and w = b.w and h = b.h and s = b.stride in
+  let top = ref 0 in
+  while !top < h do
+    let rows = imin stripe (h - !top) in
+    for x = 0 to w - 1 do
+      let p0 = ((!top + 1) * s) + x + 1 and i0 = (!top * w) + x in
+      if
+        rows < stripe
+        ||
+        let f0 = fl.(p0) and f1 = fl.(p0 + s) in
+        let f2 = fl.(p0 + (2 * s)) and f3 = fl.(p0 + (3 * s)) in
+        (* some coefficient has a significant neighbour, and not all
+           four are significant already *)
+        (f0 lor f1 lor f2 lor f3) land nb_mask <> 0
+        && f0 land f1 land f2 land f3 land f_sig = 0
+      then
+        for k = 0 to rows - 1 do
+          let p = p0 + (k * s) in
+          let f = fl.(p) in
+          if f land f_sig = 0 && f land nb_mask <> 0 then begin
+            dec_zc b dec mag p (i0 + (k * w)) one;
+            fl.(p) <- fl.(p) lor f_visited
+          end
+        done
+    done;
+    top := !top + stripe
+  done
+
+let dec_refinement b dec mag one =
+  let fl = b.flags and ctxs = b.contexts in
+  let w = b.w and h = b.h and s = b.stride in
+  let top = ref 0 in
+  while !top < h do
+    let rows = imin stripe (h - !top) in
+    for x = 0 to w - 1 do
+      let p0 = ((!top + 1) * s) + x + 1 and i0 = (!top * w) + x in
+      if
+        rows < stripe
+        || (fl.(p0) lor fl.(p0 + s) lor fl.(p0 + (2 * s)) lor fl.(p0 + (3 * s)))
+           land f_sig
+           <> 0
+      then
+        for k = 0 to rows - 1 do
+          let p = p0 + (k * s) in
+          let f = fl.(p) in
+          if f land (f_sig lor f_became lor f_visited) = f_sig then begin
+            (* Magnitude-refinement contexts, ISO Table D.4. *)
+            let ctx =
+              if f land f_refined <> 0 then 16
+              else if f land nb_mask = 0 then 14
+              else 15
+            in
+            if Mq.decode dec ctxs.(ctx) = 1 then begin
+              let i = i0 + (k * w) in
+              mag.(i) <- mag.(i) lor one
+            end;
+            fl.(p) <- f lor f_refined lor f_visited
+          end
+        done
+    done;
+    top := !top + stripe
+  done
+
+(* The cleanup pass ends the plane, so it also drops each column's
+   visited/became bits once the column is done — the kernel's form of
+   [clear_plane_flags]: later columns read only their own flags and
+   the neighbour bits, never a neighbour's visited/became. *)
+let dec_cleanup b dec mag one =
+  let fl = b.flags and ctxs = b.contexts in
+  let w = b.w and h = b.h and s = b.stride in
+  let keep = lnot (f_visited lor f_became) in
+  let top = ref 0 in
+  while !top < h do
+    let rows = imin stripe (h - !top) in
+    for x = 0 to w - 1 do
+      let p0 = ((!top + 1) * s) + x + 1 and i0 = (!top * w) + x in
+      if
+        rows = stripe
+        && (fl.(p0) lor fl.(p0 + s) lor fl.(p0 + (2 * s)) lor fl.(p0 + (3 * s)))
+           land (f_sig lor f_visited lor nb_mask)
+           = 0
+      then begin
+        (* Run-length mode: one decision for the clean column, then
+           the position of its first 1, whose zero-coding bit is
+           implicit. *)
+        if Mq.decode dec ctxs.(ctx_rl) = 1 then begin
+          let hi = Mq.decode dec ctxs.(ctx_uni) in
+          let lo = Mq.decode dec ctxs.(ctx_uni) in
+          let r = (hi lsl 1) lor lo in
+          dec_sign b dec mag (p0 + (r * s)) (i0 + (r * w)) one;
+          for k = r + 1 to stripe - 1 do
+            dec_zc b dec mag (p0 + (k * s)) (i0 + (k * w)) one
+          done
+        end
+      end
+      else
+        for k = 0 to rows - 1 do
+          let p = p0 + (k * s) in
+          if fl.(p) land (f_sig lor f_visited) = 0 then
+            dec_zc b dec mag p (i0 + (k * w)) one
+        done;
+      for k = 0 to rows - 1 do
+        let p = p0 + (k * s) in
+        fl.(p) <- fl.(p) land keep
+      done
+    done;
+    top := !top + stripe
+  done
+
+let dec_pass b dec mag ~planes i =
+  let one = 1 lsl pass_plane ~planes i in
+  match pass_kind i with
+  | 0 -> dec_significance b dec mag one
+  | 1 -> dec_refinement b dec mag one
+  | _ -> dec_cleanup b dec mag one
+
+(* All passes of a block from one codeword, through the kernel or
+   (for [~lut:false]) the reference [io] drivers. *)
+let decode_codeword b mag ~planes data =
+  let total = total_passes ~planes in
+  if b.lut then begin
+    let dec = Mq.decoder data in
+    for i = 0 to total - 1 do
+      dec_pass b dec mag ~planes i
+    done
+  end
+  else begin
+    let io = make_decoder_io b (ref (Mq.decoder data)) mag b.w in
+    for i = 0 to total - 1 do
+      run_pass b io ~planes i
+    done
+  end
+
+(* One codeword per pass: the given segments (a prefix of the
+   encoder's list; any beyond the block's pass count are ignored). *)
+let decode_segments b mag ~planes segments =
+  let total = total_passes ~planes in
+  let rec go run i = function
+    | segment :: rest when i < total ->
+      run i segment;
+      go run (i + 1) rest
+    | _ -> ()
+  in
+  if b.lut then
+    go (fun i segment -> dec_pass b (Mq.decoder segment) mag ~planes i) 0 segments
+  else begin
+    let dec = ref (Mq.decoder "") in
+    let io = make_decoder_io b dec mag b.w in
+    go
+      (fun i segment ->
+        dec := Mq.decoder segment;
+        run_pass b io ~planes i)
+      0 segments
+  end
+
+(* Applies the signs in place: the magnitudes' [w * h] row-major
+   prefix becomes the signed coefficient block. *)
+let apply_signs b mag =
+  for y = 0 to b.h - 1 do
+    let row = y * b.w and frow = ((y + 1) * b.stride) + 1 in
+    for x = 0 to b.w - 1 do
+      if b.flags.(frow + x) land f_sign <> 0 then mag.(row + x) <- -mag.(row + x)
+    done
+  done
 
 let decode_block ?lut ~orientation ~w ~h ~planes data =
   check_dims ~w ~h (w * h);
-  if planes = 0 then Array.make (w * h) 0
-  else begin
+  let magnitudes = Array.make (w * h) 0 in
+  if planes > 0 then begin
     let b = make_blk ?lut ~orientation ~w ~h () in
-    let dec = ref (Mq.decoder data) in
-    let magnitudes = Array.make (w * h) 0 in
-    let io = make_decoder_io b dec magnitudes w in
-    for plane = planes - 1 downto 0 do
-      code_plane b io ~plane ~first:(plane = planes - 1)
-    done;
-    signed_result b magnitudes
-  end
+    decode_codeword b magnitudes ~planes data;
+    apply_signs b magnitudes
+  end;
+  magnitudes
 
 (* -- SNR-scalable variant ---------------------------------------------
 
@@ -482,37 +662,24 @@ let encode_block_scalable ?lut ~orientation ~w ~h coeffs =
     let b = make_blk ?lut ~orientation ~w ~h () in
     let enc = ref (Mq.encoder ()) in
     let io = make_encoder_io b enc coeffs w in
-    let segments =
-      List.map
-        (fun pass ->
-          run_pass b io pass;
-          let segment = Mq.flush !enc in
-          enc := Mq.encoder ();
-          segment)
-        (pass_schedule ~planes)
-    in
-    (planes, segments)
+    let segments = ref [] in
+    for i = 0 to total_passes ~planes - 1 do
+      run_pass b io ~planes i;
+      segments := Mq.flush !enc :: !segments;
+      enc := Mq.encoder ()
+    done;
+    (planes, List.rev !segments)
   end
 
 let decode_block_scalable ?lut ~orientation ~w ~h ~planes segments =
   check_dims ~w ~h (w * h);
-  if planes = 0 then Array.make (w * h) 0
-  else begin
+  let magnitudes = Array.make (w * h) 0 in
+  if planes > 0 then begin
     let b = make_blk ?lut ~orientation ~w ~h () in
-    let dec = ref (Mq.decoder "") in
-    let magnitudes = Array.make (w * h) 0 in
-    let io = make_decoder_io b dec magnitudes w in
-    let rec decode_passes schedule segments =
-      match (schedule, segments) with
-      | _, [] | [], _ -> ()
-      | pass :: schedule, segment :: segments ->
-        dec := Mq.decoder segment;
-        run_pass b io pass;
-        decode_passes schedule segments
-    in
-    decode_passes (pass_schedule ~planes) segments;
-    signed_result b magnitudes
-  end
+    decode_segments b magnitudes ~planes segments;
+    apply_signs b magnitudes
+  end;
+  magnitudes
 
 (* -- per-domain scratch decode ----------------------------------------
 
@@ -569,25 +736,7 @@ let decode_block_scalable_scratch ?lut ~orientation ~w ~h ~planes segments =
   check_dims ~w ~h (w * h);
   let b, magnitudes = scratch_blk ?lut ~orientation ~w ~h () in
   if planes > 0 then begin
-    let dec = ref (Mq.decoder "") in
-    let io = make_decoder_io b dec magnitudes w in
-    let rec decode_passes schedule segments =
-      match (schedule, segments) with
-      | _, [] | [], _ -> ()
-      | pass :: schedule, segment :: segments ->
-        dec := Mq.decoder segment;
-        run_pass b io pass;
-        decode_passes schedule segments
-    in
-    decode_passes (pass_schedule ~planes) segments;
-    (* Apply the signs in place: the buffer's w*h prefix becomes the
-       signed coefficient block. *)
-    for y = 0 to h - 1 do
-      let row = y * w and frow = ((y + 1) * b.stride) + 1 in
-      for x = 0 to w - 1 do
-        if b.flags.(frow + x) land f_sign <> 0 then
-          magnitudes.(row + x) <- -magnitudes.(row + x)
-      done
-    done
+    decode_segments b magnitudes ~planes segments;
+    apply_signs b magnitudes
   end;
   magnitudes

@@ -1,27 +1,33 @@
 (** EBCOT Tier-1 bit-plane coder (ISO/IEC 15444-1, Annex D).
 
-    Codes a block of signed quantised wavelet coefficients bit-plane
-    by bit-plane with three passes per plane — significance
-    propagation, magnitude refinement, and cleanup with run-length
-    shortcut — driving the {!Mq} coder through the standard 19
-    contexts (9 zero-coding, 5 sign-coding, 3 magnitude-refinement,
-    run-length, uniform). Zero-coding context formation depends on
-    the subband orientation, exactly as in Table D.1.
-
-    Simplification w.r.t. the full standard (documented in
-    DESIGN.md): one code-block spans the whole subband and all passes
-    form a single MQ codeword segment — no pass boundaries, RESET/
-    BYPASS modes or rate-distortion truncation. Decoding inverts
-    encoding bit-exactly, which the property tests check on random
-    blocks.
+    Codes one code-block of signed quantised wavelet coefficients (the
+    codestream tiles each subband into blocks of at most
+    [code_block]², 16² by default) bit-plane by bit-plane with three
+    passes per plane — significance propagation, magnitude
+    refinement, and cleanup with run-length shortcut — driving the
+    {!Mq} coder through the standard 19 contexts (9 zero-coding, 5
+    sign-coding, 3 magnitude-refinement, run-length, uniform).
+    Zero-coding context formation depends on the subband orientation,
+    exactly as in Table D.1. The codec's blocks use the scalable form:
+    every pass is terminated into its own MQ segment, with the
+    contexts carried across passes. Left out of the standard: the
+    BYPASS and RESET modes and rate-distortion truncation.
 
     Per-coefficient state is one packed flags word (own significance/
     sign/visited/refined plus incrementally maintained neighbour
     significance and sign bits); zero-coding and sign-coding contexts
-    are precomputed LUTs indexed by that word. [?lut:false] selects
-    the reference per-probe context formation instead — bit-identical
-    by construction (the LUTs are generated from it), kept as the
-    cross-check and the benchmark baseline for the packed hot path. *)
+    are precomputed LUTs indexed by that word.
+
+    Decoding runs a kernel: the three passes written once more,
+    specialised for decoding, which call {!Mq.decode} directly per
+    decision, read the flags and LUTs in place and derive each pass's
+    kind and plane from its index. Every decode entry point goes
+    through it by default. [?lut:false] selects the reference instead
+    — the generic pass drivers the encoder also uses, with per-probe
+    context formation (the LUTs are generated from it). The reference
+    is the kernel's test oracle: property tests check the two return
+    the same coefficients on valid and hostile segments, and that
+    decoding inverts encoding bit-exactly. *)
 
 val num_planes : int array -> int
 (** Number of magnitude bit-planes needed for the given coefficients

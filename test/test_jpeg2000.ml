@@ -334,6 +334,53 @@ let dwt97_roundtrip_qcheck =
       Jpeg2000.Dwt97.inverse m ~levels;
       Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) m.Jpeg2000.Dwt97.values orig)
 
+(* The in-place transforms against the allocating ones, bit for bit,
+   on every plane size 1..40 x 1..40 and every level count 0..4 — the
+   small sizes drive the n = 2 and n = 3 boundary branches of the 9/7
+   lifting step. Each case draws fresh plane contents. *)
+let every_size_and_level f =
+  for w = 1 to 40 do
+    for h = 1 to 40 do
+      for levels = 0 to 4 do
+        if not (f ~w ~h ~levels) then
+          QCheck.Test.fail_reportf "differs at %dx%d, %d levels" w h levels
+      done
+    done
+  done;
+  true
+
+let dwt97_inverse_ip_equals_inverse_qcheck =
+  QCheck.Test.make ~name:"9/7 inverse_ip equals inverse bit for bit, every size"
+    ~count:3 QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      every_size_and_level (fun ~w ~h ~levels ->
+          let values =
+            Array.init (w * h) (fun _ ->
+                float_of_int (Random.State.int rng 8192 - 4096) /. 7.0)
+          in
+          let a = { Jpeg2000.Dwt97.mw = w; mh = h; values } in
+          let b = { a with Jpeg2000.Dwt97.values = Array.copy values } in
+          Jpeg2000.Dwt97.inverse a ~levels;
+          Jpeg2000.Dwt97.inverse_ip b ~levels;
+          Array.for_all2
+            (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+            a.Jpeg2000.Dwt97.values b.Jpeg2000.Dwt97.values))
+
+let dwt53_inverse_flat_equals_plane_qcheck =
+  QCheck.Test.make
+    ~name:"5/3 inverse_flat equals inverse_plane, every size" ~count:3
+    QCheck.small_int (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      every_size_and_level (fun ~w ~h ~levels ->
+          let data =
+            Array.init (w * h) (fun _ -> Random.State.int rng 4096 - 2048)
+          in
+          let plane = { Jpeg2000.Image.width = w; height = h; data } in
+          let flat = Jpeg2000.Plane.of_array ~w ~h (Array.copy data) in
+          Jpeg2000.Dwt53.inverse_plane plane ~levels;
+          Jpeg2000.Dwt53.inverse_flat flat ~levels;
+          Jpeg2000.Plane.to_array flat = plane.Jpeg2000.Image.data))
+
 (* -- Quantiser ------------------------------------------------------ *)
 
 let test_quant_steps_ordered () =
@@ -359,6 +406,48 @@ let quant_error_bound_qcheck =
 let test_quant_zero_stays_zero () =
   Alcotest.(check (array int)) "zeros" [| 0; 0 |]
     (Jpeg2000.Quant.quantise ~step:1.5 [| 0.0; 0.4 |])
+
+(* The flat IQ over one band rectangle writes exactly what the boxed
+   [dequantise] computes, at the rectangle's positions only, and
+   refuses a rectangle that leaves either plane. *)
+let quant_rect_matches_dequantise_qcheck =
+  QCheck.Test.make ~name:"dequantise_rect equals dequantise on its rectangle"
+    ~count:200
+    QCheck.(
+      pair (pair (float_range 0.1 8.0) small_nat)
+        (quad (int_range 1 24) (int_range 1 24) small_nat small_nat))
+    (fun ((step, seed), (pw, ph, a, b)) ->
+      let rng = Random.State.make [| seed |] in
+      let x0 = a mod pw and y0 = b mod ph in
+      let w = 1 + Random.State.int rng (pw - x0) in
+      let h = 1 + Random.State.int rng (ph - y0) in
+      let src = Array.init (pw * ph) (fun _ -> Random.State.int rng 2001 - 1000) in
+      let plane = Jpeg2000.Plane.of_array ~w:pw ~h:ph src in
+      let dst = Array.make (pw * ph) Float.nan in
+      Jpeg2000.Quant.dequantise_rect ~step (Jpeg2000.Plane.data plane) dst
+        ~stride:pw ~x0 ~y0 ~w ~h;
+      let boxed = Jpeg2000.Quant.dequantise ~step src in
+      let inside i =
+        let x = i mod pw and y = i / pw in
+        x >= x0 && x < x0 + w && y >= y0 && y < y0 + h
+      in
+      let same i =
+        if inside i then
+          Int64.equal (Int64.bits_of_float dst.(i)) (Int64.bits_of_float boxed.(i))
+        else Float.is_nan dst.(i)
+      in
+      let rejects ~x0 ~y0 ~w ~h =
+        match
+          Jpeg2000.Quant.dequantise_rect ~step (Jpeg2000.Plane.data plane) dst
+            ~stride:pw ~x0 ~y0 ~w ~h
+        with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      List.for_all same (List.init (pw * ph) Fun.id)
+      && rejects ~x0:(pw - w + 1) ~y0 ~w ~h
+      && rejects ~x0 ~y0:(ph - h + 1) ~w ~h
+      && rejects ~x0:(-1) ~y0 ~w ~h)
 
 (* -- MQ coder ------------------------------------------------------- *)
 
@@ -437,6 +526,108 @@ let test_mq_context_isolation () =
   Alcotest.(check bool) "contexts adapt independently" true
     (Jpeg2000.Mq.context_mps c0 = 0 && Jpeg2000.Mq.context_mps c1 = 1);
   ignore (Jpeg2000.Mq.flush enc)
+
+(* ISO/IEC 15444-1 Table C.2 written out again, independently of the
+   coder's own packed tables: (Qe, NMPS, NLPS, SWITCH) per index. *)
+let table_c2 =
+  [|
+    (0x5601, 1, 1, 1); (0x3401, 2, 6, 0); (0x1801, 3, 9, 0);
+    (0x0AC1, 4, 12, 0); (0x0521, 5, 29, 0); (0x0221, 38, 33, 0);
+    (0x5601, 7, 6, 1); (0x5401, 8, 14, 0); (0x4801, 9, 14, 0);
+    (0x3801, 10, 14, 0); (0x3001, 11, 17, 0); (0x2401, 12, 18, 0);
+    (0x1C01, 13, 20, 0); (0x1601, 29, 21, 0); (0x5601, 15, 14, 1);
+    (0x5401, 16, 14, 0); (0x5101, 17, 15, 0); (0x4801, 18, 16, 0);
+    (0x3801, 19, 17, 0); (0x3401, 20, 18, 0); (0x3001, 21, 19, 0);
+    (0x2801, 22, 19, 0); (0x2401, 23, 20, 0); (0x2201, 24, 21, 0);
+    (0x1C01, 25, 22, 0); (0x1801, 26, 23, 0); (0x1601, 27, 24, 0);
+    (0x1401, 28, 25, 0); (0x1201, 29, 26, 0); (0x1101, 30, 27, 0);
+    (0x0AC1, 31, 28, 0); (0x09C1, 32, 29, 0); (0x08A1, 33, 30, 0);
+    (0x0521, 34, 31, 0); (0x0441, 35, 32, 0); (0x02A1, 36, 33, 0);
+    (0x0221, 37, 34, 0); (0x0141, 38, 35, 0); (0x0111, 39, 36, 0);
+    (0x0085, 40, 37, 0); (0x0049, 41, 38, 0); (0x0025, 42, 39, 0);
+    (0x0015, 43, 40, 0); (0x0009, 44, 41, 0); (0x0005, 45, 42, 0);
+    (0x0001, 45, 43, 0); (0x5601, 46, 46, 0);
+  |]
+
+(* The state machine the standard's CODEMPS/CODELPS (and, mirrored,
+   DECODE) procedures drive: per-context (index, mps) plus the shared
+   interval register A, which encoder and decoder keep in step. An MPS
+   moves the context only when A drops below 0x8000 (renormalisation);
+   an LPS always moves it, with the SWITCH exchange. *)
+type c2_model = { m_index : int array; m_mps : int array; mutable m_a : int }
+
+let c2_step m ctx bit =
+  let qe, nmps, nlps, switch = table_c2.(m.m_index.(ctx)) in
+  m.m_a <- m.m_a - qe;
+  let renorm () =
+    while m.m_a land 0x8000 = 0 do
+      m.m_a <- (m.m_a lsl 1) land 0xFFFF
+    done
+  in
+  if bit = m.m_mps.(ctx) then begin
+    if m.m_a land 0x8000 = 0 then begin
+      if m.m_a < qe then m.m_a <- qe;
+      m.m_index.(ctx) <- nmps;
+      renorm ()
+    end
+  end
+  else begin
+    if m.m_a >= qe then m.m_a <- qe;
+    if switch = 1 then m.m_mps.(ctx) <- 1 - m.m_mps.(ctx);
+    m.m_index.(ctx) <- nlps;
+    renorm ()
+  end
+
+let mq_table_c2_model_qcheck =
+  QCheck.Test.make
+    ~name:"MQ context states follow a Table C.2 model, every decision"
+    ~count:500
+    QCheck.(
+      triple
+        (list_of_size Gen.(1 -- 4) (pair (int_bound 46) (int_bound 1)))
+        (int_bound 9)
+        (list_of_size Gen.(1 -- 1500) (pair small_nat (int_bound 99))))
+    (fun (init, skew, stream) ->
+      let init = Array.of_list init in
+      let n = Array.length init in
+      (* Bits drawn with a per-case bias, so both the fast-adapting top
+         of the table and its skewed end are visited. *)
+      let decisions =
+        List.map (fun (c, v) -> (c mod n, if v < skew * 10 then 1 else 0)) stream
+      in
+      let model () =
+        {
+          m_index = Array.map fst init;
+          m_mps = Array.map snd init;
+          m_a = 0x8000;
+        }
+      in
+      let contexts () =
+        Array.map (fun (index, mps) -> Jpeg2000.Mq.context ~index ~mps ()) init
+      in
+      let agrees m ctxs c =
+        Jpeg2000.Mq.context_index ctxs.(c) = m.m_index.(c)
+        && Jpeg2000.Mq.context_mps ctxs.(c) = m.m_mps.(c)
+      in
+      let enc = Jpeg2000.Mq.encoder () in
+      let enc_ctx = contexts () and enc_model = model () in
+      let encoded_ok =
+        List.for_all
+          (fun (c, bit) ->
+            Jpeg2000.Mq.encode enc enc_ctx.(c) bit;
+            c2_step enc_model c bit;
+            agrees enc_model enc_ctx c)
+          decisions
+      in
+      let dec = Jpeg2000.Mq.decoder (Jpeg2000.Mq.flush enc) in
+      let dec_ctx = contexts () and dec_model = model () in
+      encoded_ok
+      && List.for_all
+           (fun (c, bit) ->
+             let got = Jpeg2000.Mq.decode dec dec_ctx.(c) in
+             c2_step dec_model c got;
+             got = bit && agrees dec_model dec_ctx c)
+           decisions)
 
 (* -- T1 -------------------------------------------------------------- *)
 
@@ -562,6 +753,109 @@ let t1_lut_equals_reference_qcheck =
       && Jpeg2000.T1.decode_block_scalable ~lut:false ~orientation ~w ~h
            ~planes:sp_lut sd_lut
          = coeffs)
+
+(* The decode kernel against the [~lut:false] reference decoder, which
+   runs the pass drivers and per-probe context formation the kernel
+   was specialised from. Blocks of every orientation and every size
+   1..32 (heights off the 4-row stripe included), every pass-prefix
+   length, and both real segments (an encoded random block) and
+   hostile ones (random bytes, up to [max_robust_planes] = 30 planes).
+   All three kernel entry points must return the reference's [w * h]
+   coefficients, and no side may raise. *)
+type oracle_case = {
+  oc_orientation : int;
+  oc_w : int;
+  oc_h : int;
+  oc_planes : int;
+  oc_segments : string list;
+  oc_hostile : bool;
+}
+
+let oracle_case_gen =
+  QCheck.Gen.(
+    let* oc_orientation = int_bound 3 in
+    let* oc_w = int_range 1 32 and* oc_h = int_range 1 32 in
+    let* oc_hostile = bool in
+    if oc_hostile then
+      let* oc_planes = int_bound 30 in
+      let* prefix = int_bound (Jpeg2000.T1.total_passes ~planes:oc_planes) in
+      let* oc_segments =
+        list_repeat prefix (string_size ~gen:char (int_bound 24))
+      in
+      return { oc_orientation; oc_w; oc_h; oc_planes; oc_segments; oc_hostile }
+    else
+      let* density = int_range 1 4 and* amplitude = int_range 1 4095 in
+      let* coeffs =
+        array_repeat (oc_w * oc_h)
+          (let* keep = int_bound density in
+           if keep = 0 then int_range (-amplitude) amplitude else return 0)
+      in
+      let orientation = Jpeg2000.Subband.orientation_of_code oc_orientation in
+      let oc_planes, segments =
+        Jpeg2000.T1.encode_block_scalable ~orientation ~w:oc_w ~h:oc_h coeffs
+      in
+      let* prefix = int_bound (List.length segments) in
+      return
+        {
+          oc_orientation;
+          oc_w;
+          oc_h;
+          oc_planes;
+          oc_segments = List.filteri (fun i _ -> i < prefix) segments;
+          oc_hostile;
+        })
+
+let print_oracle_case c =
+  Printf.sprintf "%s %dx%d orientation %d, %d planes, %d segments [%s]"
+    (if c.oc_hostile then "hostile" else "encoded")
+    c.oc_w c.oc_h c.oc_orientation c.oc_planes
+    (List.length c.oc_segments)
+    (String.concat "; " (List.map (Printf.sprintf "%S") c.oc_segments))
+
+let t1_kernel_oracle_qcheck =
+  QCheck.Test.make ~name:"T1 decode kernel equals the ~lut:false reference"
+    ~count:500
+    (QCheck.make ~print:print_oracle_case oracle_case_gen)
+    (fun c ->
+      let orientation = Jpeg2000.Subband.orientation_of_code c.oc_orientation in
+      let w = c.oc_w and h = c.oc_h and planes = c.oc_planes in
+      let run name f =
+        match f () with
+        | v -> v
+        | exception e ->
+          QCheck.Test.fail_reportf "%s raised %s" name (Printexc.to_string e)
+      in
+      let reference =
+        run "reference" (fun () ->
+            Jpeg2000.T1.decode_block_scalable ~lut:false ~orientation ~w ~h
+              ~planes c.oc_segments)
+      in
+      let kernel =
+        run "kernel" (fun () ->
+            Jpeg2000.T1.decode_block_scalable ~orientation ~w ~h ~planes
+              c.oc_segments)
+      in
+      let scratch =
+        run "scratch kernel" (fun () ->
+            Array.sub
+              (Jpeg2000.T1.decode_block_scalable_scratch ~orientation ~w ~h
+                 ~planes c.oc_segments)
+              0 (w * h))
+      in
+      (* One codeword for all passes: the segments run together. *)
+      let codeword = String.concat "" c.oc_segments in
+      let single_reference =
+        run "single-codeword reference" (fun () ->
+            Jpeg2000.T1.decode_block ~lut:false ~orientation ~w ~h ~planes
+              codeword)
+      in
+      let single_kernel =
+        run "single-codeword kernel" (fun () ->
+            Jpeg2000.T1.decode_block ~orientation ~w ~h ~planes codeword)
+      in
+      Array.length reference = w * h
+      && kernel = reference && scratch = reference
+      && single_kernel = single_reference)
 
 let test_t1_compresses_structure () =
   (* A structured block must code smaller than raw size. *)
@@ -1366,9 +1660,9 @@ let test_flat_identity_across_pools () =
     flat_configs
 
 let test_staged_protocols_agree () =
-  (* The in-place staged protocol (staged_run/finish_staged_ok), the
-     compat protocol (staged_job/finish_staged) and the monolithic
-     decode_tile must agree tile for tile. *)
+  (* The staged protocol (staged_run/finish_staged_ok), the monolithic
+     decode_tile and the boxed stage-by-stage chain must agree tile for
+     tile. *)
   let img = Jpeg2000.Image.smooth ~width:40 ~height:24 ~components:3 ~seed:29 in
   List.iter
     (fun (name, config) ->
@@ -1378,22 +1672,23 @@ let test_staged_protocols_agree () =
       List.iter
         (fun tile ->
           let reference = Jpeg2000.Decoder.decode_tile header tile in
-          let st_old = Jpeg2000.Decoder.stage_tile header tile in
-          let n = Jpeg2000.Decoder.staged_jobs st_old in
-          let t_old, c_old =
-            Jpeg2000.Decoder.finish_staged st_old
-              (Array.init n (Jpeg2000.Decoder.staged_job st_old))
+          let boxed =
+            Jpeg2000.Decoder.entropy_decode_tile header tile
+            |> Jpeg2000.Decoder.dequantise header
+            |> Jpeg2000.Decoder.inverse_wavelet header
+            |> Jpeg2000.Decoder.inverse_colour_and_shift header tile
           in
-          let st_new = Jpeg2000.Decoder.stage_tile header tile in
-          let t_new, c_new =
-            Jpeg2000.Decoder.finish_staged_ok st_new
-              (Array.init n (Jpeg2000.Decoder.staged_run st_new))
-          in
-          Alcotest.(check int) (name ^ " compat concealed") 0 c_old;
-          Alcotest.(check int) (name ^ " in-place concealed") 0 c_new;
-          Alcotest.(check bool) (name ^ " compat tile") true (t_old = reference);
-          Alcotest.(check bool) (name ^ " in-place tile") true
-            (t_new = reference))
+          let st = Jpeg2000.Decoder.stage_tile header tile in
+          let n = Jpeg2000.Decoder.staged_jobs st in
+          let ok = Array.init n (Jpeg2000.Decoder.staged_run st) in
+          let staged, concealed = Jpeg2000.Decoder.finish_staged_ok st ok in
+          Alcotest.(check int) (name ^ " staged concealed") 0 concealed;
+          Alcotest.(check bool) (name ^ " every job ok") true
+            (Array.for_all Fun.id ok);
+          Alcotest.(check bool) (name ^ " staged tile") true
+            (staged = reference);
+          Alcotest.(check bool) (name ^ " boxed stage chain") true
+            (boxed = reference))
         stream.Jpeg2000.Codestream.tiles)
     flat_configs
 
@@ -1440,12 +1735,15 @@ let () =
           qc dwt53_2d_roundtrip_qcheck;
           Alcotest.test_case "9/7 constant line" `Quick test_dwt97_constant_line;
           qc dwt97_roundtrip_qcheck;
+          qc dwt97_inverse_ip_equals_inverse_qcheck;
+          qc dwt53_inverse_flat_equals_plane_qcheck;
         ] );
       ( "quant",
         [
           Alcotest.test_case "step ordering" `Quick test_quant_steps_ordered;
           Alcotest.test_case "zero stays zero" `Quick test_quant_zero_stays_zero;
           qc quant_error_bound_qcheck;
+          qc quant_rect_matches_dequantise_qcheck;
         ] );
       ( "mq",
         [
@@ -1456,6 +1754,7 @@ let () =
           Alcotest.test_case "context isolation" `Quick test_mq_context_isolation;
           qc mq_roundtrip_qcheck;
           qc mq_skewed_roundtrip_qcheck;
+          qc mq_table_c2_model_qcheck;
         ] );
       ( "t1",
         [
@@ -1468,6 +1767,7 @@ let () =
           qc t1_roundtrip_all_bands_qcheck;
           qc t1_sparse_roundtrip_qcheck;
           qc t1_lut_equals_reference_qcheck;
+          qc t1_kernel_oracle_qcheck;
         ] );
       ( "misc",
         [
