@@ -514,18 +514,20 @@ let decode_region ?(pool = Par.Pool.sequential) ~x ~y ~w ~h data =
   let decoded =
     Par.Pool.map pool needed (fun seg -> decode_tile ~pool header seg)
   in
+  (* Each tile contributes the rectangle where it overlaps the window,
+     one row blit per component line. *)
   Array.iter
     (fun tile ->
       Array.iteri
         (fun c sub ->
-          let plane = region.Image.planes.(c) in
-          for ty = 0 to sub.Image.height - 1 do
-            for tx = 0 to sub.Image.width - 1 do
-              let gx = tile.Tile.x0 + tx and gy = tile.Tile.y0 + ty in
-              if gx >= x && gx < x + w && gy >= y && gy < y + h then
-                Image.plane_set plane ~x:(gx - x) ~y:(gy - y)
-                  (Image.plane_get sub ~x:tx ~y:ty)
-            done
+          let x0 = max x tile.Tile.x0
+          and x1 = min (x + w) (tile.Tile.x0 + sub.Image.width)
+          and y0 = max y tile.Tile.y0
+          and y1 = min (y + h) (tile.Tile.y0 + sub.Image.height) in
+          for gy = y0 to y1 - 1 do
+            Image.blit_row ~src:sub ~src_x:(x0 - tile.Tile.x0)
+              ~src_y:(gy - tile.Tile.y0) ~dst:region.Image.planes.(c)
+              ~dst_x:(x0 - x) ~dst_y:(gy - y) ~len:(x1 - x0)
           done)
         tile.Tile.planes)
     decoded;

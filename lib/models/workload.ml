@@ -103,12 +103,74 @@ let codestream ?(width = 128) ?(height = 128) ?(seed = 2008) mode =
   in
   Jpeg2000.Encoder.encode config image
 
+(* -- the shared clean payload ----------------------------------------- *)
+
+(* Everything about a mode's payload that does not depend on the run:
+   the parsed header, the clean tile segments and the clean reference
+   decode. Seamless refinement keeps the workload fixed while the
+   mapping changes, so all nine versions (and every repetition) share
+   one value per mode; it is never written after [build], which is
+   what makes handing it to several domains at once safe. *)
+type shared = {
+  s_header : Jpeg2000.Codestream.header;
+  s_segments : Jpeg2000.Codestream.tile_segment array;
+  s_reference : Jpeg2000.Image.t;
+}
+
+(* A domain's installed telemetry sink would otherwise count the
+   build's [par.map.*] calls into whichever run happened to come
+   first; built with no sink and on the sequential pool, the value is
+   attributed to no run and every report is the same on every
+   schedule. *)
+let without_sink f =
+  match Telemetry.Sink.active () with
+  | None -> f ()
+  | Some sink ->
+    Telemetry.Sink.uninstall ();
+    Fun.protect ~finally:(fun () -> Telemetry.Sink.install sink) f
+
+let build mode =
+  without_sink (fun () ->
+      let data = codestream mode in
+      let stream =
+        match Jpeg2000.Codestream.parse_result data with
+        | Ok stream -> stream
+        | Error e -> failwith ("Workload: " ^ Jpeg2000.Codestream.error_message e)
+      in
+      {
+        s_header = stream.Jpeg2000.Codestream.header;
+        s_segments = Array.of_list stream.Jpeg2000.Codestream.tiles;
+        s_reference = Jpeg2000.Decoder.decode ~pool:Par.Pool.sequential data;
+      })
+
+(* Not a [lazy]: forcing one [lazy] from two domains at once raises
+   [CamlinternalLazy.Undefined], and the first runs of a sweep race
+   exactly so. The lock is held across the build, so a racing domain
+   waits for the one value instead of building a second. *)
+type cell = { mode : Profile.mode; lock : Mutex.t; mutable value : shared option }
+
+let create_cell mode = { mode; lock = Mutex.create (); value = None }
+
+let force cell =
+  Mutex.protect cell.lock (fun () ->
+      match cell.value with
+      | Some v -> v
+      | None ->
+        let v = build cell.mode in
+        cell.value <- Some v;
+        v)
+
+let lossless_cell = create_cell Jpeg2000.Codestream.Lossless
+let lossy_cell = create_cell Jpeg2000.Codestream.Lossy
+
+let shared = function
+  | Jpeg2000.Codestream.Lossless -> force lossless_cell
+  | Jpeg2000.Codestream.Lossy -> force lossy_cell
+
 let make_payload ?corrupt ~pool mode =
-  let data = codestream mode in
-  let stream = Jpeg2000.Codestream.parse data in
-  let clean_reference = Jpeg2000.Decoder.decode ~pool data in
-  let header = stream.Jpeg2000.Codestream.header in
-  let clean_segments = Array.of_list stream.Jpeg2000.Codestream.tiles in
+  let { s_header = header; s_segments = clean_segments; s_reference = clean_reference } =
+    shared mode
+  in
   let segments, reference, robust, concealed_blocks, concealed_tiles =
     match corrupt with
     | None -> (clean_segments, clean_reference, false, 0, 0)

@@ -22,17 +22,51 @@ val codestream : ?width:int -> ?height:int -> ?seed:int -> Profile.mode -> strin
 
 val make :
   ?payload:bool -> ?corrupt:int * float -> ?pool:Par.Pool.t -> Profile.mode -> t
-(** 16 tiles, 3 components. [payload] defaults to [true]. [pool]
-    (default {!Par.Pool.sequential}) fans the payload decode — and
-    every staged decode the models perform — out over independent
-    code blocks and component planes; results are bit-identical on
-    any pool.
+(** 16 tiles, 3 components. [payload] defaults to [true].
+
+    The clean part of the payload — the parsed header, the clean tile
+    segments and the clean reference image that {!Jpeg2000.Decoder.decode}
+    computes from the encoded bytes — is built once per process per
+    mode, on first use, and shared read-only by every workload and
+    every domain after that (see {!cell}). Each [make] still gets
+    fresh per-tile stage slots, so every run performs its own staged
+    decode and {!check} compares it bit-exactly against that reference.
+    The build runs with the calling domain's telemetry sink suspended
+    and on {!Par.Pool.sequential}: it is attributed to no run, and a
+    run's report is the same whether or not it happened to build.
+
+    [pool] (default {!Par.Pool.sequential}) fans the staged decodes
+    the models perform — and the robust reference decode of a
+    corrupted stream — out over independent code blocks and component
+    planes; results are bit-identical on any pool. It does not fan out
+    the clean reference decode, which is shared.
+
     [corrupt (seed, rate)] flips, deterministically from [seed], each
-    entropy-coded payload byte's bit with probability [rate] before
-    the run; the staged decode then uses the robust (per-code-block
-    containment) entropy decoder, and the functional check compares
-    against the robust reference decode of the same damaged stream —
-    a model is still verified bit-exactly, concealment included. *)
+    entropy-coded payload byte's bit with probability [rate] in a
+    private copy of the shared clean segments; the staged decode then
+    uses the robust (per-code-block containment) entropy decoder, and
+    the functional check compares against the robust reference decode
+    of the same damaged stream, computed per workload — a model is
+    still verified bit-exactly, concealment included. *)
+
+(** {1 The shared clean payload} *)
+
+type shared
+(** One mode's clean payload: header, tile segments, reference
+    image. Never written after it is built. *)
+
+type cell
+(** A once-only slot for one mode's {!shared} value. {!make} uses one
+    process-wide cell per mode. *)
+
+val create_cell : Profile.mode -> cell
+(** A fresh, empty cell. *)
+
+val force : cell -> shared
+(** The cell's value, built on the first call (sink-neutrally, see
+    {!make}). Safe to call from several domains at once: the value is
+    built once under the cell's lock, and every caller gets the
+    physically same value. *)
 
 val mode : t -> Profile.mode
 val tile_count : t -> int

@@ -357,9 +357,126 @@ let test_report_formatting () =
   Alcotest.(check string) "factor" "4.35x" (Osss.Report.fmt_factor 4.352);
   Alcotest.(check string) "pct" "88.8%" (Osss.Report.fmt_pct 88.8)
 
+(* -- shared payload ---------------------------------------------------- *)
+
+(* The clean payload is built once per process per mode. These tests
+   run first in this executable, so the first sinked run below is the
+   one that builds it: a build that leaked its [par.map.*] counters
+   into the active sink would make the two runs' reports differ. *)
+
+let modes = [ lossless; lossy ]
+
+let sinked_json version mode =
+  let _, o =
+    Telemetry.Sink.with_sink (fun () -> Models.Experiment.run version mode)
+  in
+  Telemetry.Json.to_string (Models.Outcome.to_json o)
+
+let test_sinked_reports_repeat () =
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun version ->
+          let first = sinked_json version mode in
+          Alcotest.(check string)
+            (Printf.sprintf "v%s report repeats"
+               (Models.Experiment.version_name version))
+            first (sinked_json version mode))
+        Models.Experiment.all_versions)
+    modes
+
+let test_parallel_sinked_sweep () =
+  let runs =
+    Array.of_list
+      (List.concat_map
+         (fun m -> List.map (fun v -> (v, m)) Models.Experiment.all_versions)
+         modes)
+  in
+  let sweep pool =
+    Par.Pool.map ~chunk:1 pool runs (fun (v, m) -> sinked_json v m)
+  in
+  let sequential = sweep Par.Pool.sequential in
+  Par.Pool.with_jobs 2 (fun pool ->
+      Alcotest.(check (array string)) "2-domain sweep equals sequential"
+        sequential (sweep pool))
+
+let test_cell_race () =
+  let cell = Models.Workload.create_cell lossless in
+  let ready = Atomic.make 0 in
+  let racer () =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    Models.Workload.force cell
+  in
+  let other = Domain.spawn racer in
+  let mine = racer () in
+  let theirs = Domain.join other in
+  Alcotest.(check bool) "one physical value" true (mine == theirs);
+  Alcotest.(check bool) "later force returns it" true
+    (Models.Workload.force cell == mine)
+
+let test_cell_build_sink_neutral () =
+  let sink, (_ : Models.Workload.shared) =
+    Telemetry.Sink.with_sink (fun () ->
+        Models.Workload.force (Models.Workload.create_cell lossy))
+  in
+  Alcotest.(check int) "no par.map calls attributed" 0
+    (Telemetry.Report.counter (Telemetry.Sink.report sink) "par.map.calls")
+
+let test_slots_not_shared () =
+  List.iter
+    (fun mode ->
+      let o = Models.Experiment.run Models.Experiment.V1 mode in
+      Alcotest.(check (option bool)) "earlier run decodes" (Some true)
+        o.Models.Outcome.functional_ok;
+      let w = Models.Workload.make mode in
+      Alcotest.(check (option bool)) "fresh workload starts unchecked"
+        (Some false) (Models.Workload.check w);
+      let o = Models.Experiment.run_workload Models.Experiment.V3 w in
+      Alcotest.(check (option bool)) "fresh workload decodes" (Some true)
+        o.Models.Outcome.functional_ok)
+    modes
+
+let test_corrupt_reference_private () =
+  (* Concealment counts and PSNR of the (123, 0.02) streams, as
+     computed when every workload re-encoded its own payload. *)
+  List.iter
+    (fun (mode, blocks, psnr) ->
+      let w = Models.Workload.make ~corrupt:(123, 0.02) mode in
+      Alcotest.(check int) "concealed blocks" blocks
+        (Models.Workload.concealed_blocks w);
+      Alcotest.(check int) "concealed tiles" 0
+        (Models.Workload.concealed_tiles w);
+      Alcotest.(check (float 1e-9)) "psnr" psnr (Models.Workload.psnr_db w);
+      let o = Models.Experiment.run_workload Models.Experiment.V2 w in
+      Alcotest.(check (option bool)) "matches robust reference" (Some true)
+        o.Models.Outcome.functional_ok;
+      let clean = Models.Workload.make mode in
+      Alcotest.(check bool) "clean workload untouched" true
+        (Float.equal Float.infinity (Models.Workload.psnr_db clean));
+      Alcotest.(check (option bool)) "clean run still decodes" (Some true)
+        (Models.Experiment.run_workload Models.Experiment.V2 clean)
+          .Models.Outcome.functional_ok)
+    [ (lossless, 7, 19.307899463685246); (lossy, 15, 20.068531044225143) ]
+
 let () =
   Alcotest.run "models"
     [
+      ( "shared payload",
+        [
+          Alcotest.test_case "sinked reports repeat" `Slow
+            test_sinked_reports_repeat;
+          Alcotest.test_case "parallel sinked sweep" `Slow
+            test_parallel_sinked_sweep;
+          Alcotest.test_case "cell race" `Quick test_cell_race;
+          Alcotest.test_case "cell build sink-neutral" `Quick
+            test_cell_build_sink_neutral;
+          Alcotest.test_case "slots not shared" `Quick test_slots_not_shared;
+          Alcotest.test_case "corrupt reference private" `Quick
+            test_corrupt_reference_private;
+        ] );
       ( "profile",
         [
           Alcotest.test_case "shares sum to 100%" `Quick
