@@ -477,12 +477,7 @@ let fleet_cmd =
         Printf.eprintf "osss_sim: %s\n" msg;
         exit 2
     in
-    let serve pool =
-      try Fleet.run ~pool fleet spec
-      with Invalid_argument msg ->
-        Printf.eprintf "osss_sim: %s\n" msg;
-        exit 2
-    in
+    let serve pool = Fleet.run ~pool fleet spec in
     let report =
       match trace_path with
       | None -> with_jobs jobs serve
@@ -500,8 +495,8 @@ let fleet_cmd =
   Cmd.v
     (Cmd.info "fleet"
        ~doc:
-         "Serve a seeded open-loop workload through a sharded decode fleet: \
-          replicated services behind a consistent-hash balancer, a shared L2 \
+         "Serve a seeded workload through a sharded decode fleet: replicas \
+          of the serve engine behind a consistent-hash balancer, a shared L2 \
           tile cache, and (with min < max) an autoscaler on the virtual \
           clock. Equal seeds print equal reports at any --jobs.")
     Term.(
@@ -510,9 +505,9 @@ let fleet_cmd =
           value & opt string "open:n=96,rate=1200,seed=11"
           & info [ "workload" ] ~docv:"SPEC"
               ~doc:
-                "Workload spec (open loop only): \
-                 open:n=N,rate=RPS,seed=S[,deadline=MS][,region=F]\
-                 [,reduced=F].")
+                "Workload spec: open:n=N,rate=RPS,seed=S[,deadline=MS]\
+                 [,region=F][,reduced=F] or \
+                 closed:n=N,clients=C,think=MS,seed=S[,...].")
       $ Arg.(
           value & opt int 6
           & info [ "streams" ] ~docv:"N"
@@ -524,7 +519,7 @@ let fleet_cmd =
               ~doc:
                 "Fleet spec: replicas=N[,min=N][,max=N][,vnodes=N][,l2=N]\
                  [,l2_us=US][,spill=0|1][,up=F][,down=F][,slo=F]\
-                 [,interval=MS][,warmup=MS][,seed=S] (every key optional; \
+                 [,interval=MS][,warmup=MS] (every key optional; \
                  min < max enables the autoscaler).")
       $ Arg.(
           value & opt int Serve.Service.default_config.Serve.Service.queue_capacity

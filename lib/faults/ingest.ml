@@ -45,27 +45,17 @@ let parse_spec s =
   in
   let positive key n = Spec.at_least key 1 n in
   let rate key f = Spec.unit_interval key f in
-  let positive_us key f =
-    Result.map
-      (fun f -> int_of_float ((f *. float_of_int ps_per_us) +. 0.5))
-      (Spec.positive key f)
-  in
+  let positive_us key f = Spec.duration Spec.Us ~positive:true key f in
   let d = default_spec in
   let* chunk_bytes = int_field "chunk" d.chunk_bytes (positive "chunk") in
-  let* gap_ps =
-    float_field "gap_us"
-      d.gap_ps
-      (fun f -> positive_us "gap_us" f)
-  in
+  let* gap_ps = float_field "gap_us" d.gap_ps (positive_us "gap_us") in
   let* loss = float_field "loss" d.profile.loss (rate "loss") in
   let* dup = float_field "dup" d.profile.dup (rate "dup") in
   let* reorder = float_field "reorder" d.profile.reorder (rate "reorder") in
   let* window = int_field "window" d.profile.window (positive "window") in
   let* stall = float_field "stall" d.profile.stall (rate "stall") in
   let* stall_max_ps =
-    float_field "stall_us"
-      d.profile.stall_max_ps
-      (fun f -> positive_us "stall_us" f)
+    float_field "stall_us" d.profile.stall_max_ps (positive_us "stall_us")
   in
   Ok
     {
@@ -75,11 +65,11 @@ let parse_spec s =
     }
 
 let spec_to_string spec =
-  let us ps = float_of_int ps /. float_of_int ps_per_us in
+  let f = Spec.float_to_string and us ps = Spec.float_to_string (Spec.of_ps Spec.Us ps) in
   Printf.sprintf
-    "chunk=%d,gap_us=%g,loss=%g,dup=%g,reorder=%g,window=%d,stall=%g,stall_us=%g"
-    spec.chunk_bytes (us spec.gap_ps) spec.profile.loss spec.profile.dup
-    spec.profile.reorder spec.profile.window spec.profile.stall
+    "chunk=%d,gap_us=%s,loss=%s,dup=%s,reorder=%s,window=%d,stall=%s,stall_us=%s"
+    spec.chunk_bytes (us spec.gap_ps) (f spec.profile.loss) (f spec.profile.dup)
+    (f spec.profile.reorder) spec.profile.window (f spec.profile.stall)
     (us spec.profile.stall_max_ps)
 
 (* -- schedules ------------------------------------------------------- *)

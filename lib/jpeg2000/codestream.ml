@@ -327,6 +327,12 @@ let segment_bytes tile =
         acc bands)
     0 tile.comps
 
+let in_window tile ~x ~y ~w ~h =
+  tile.tile_x0 < x + w
+  && tile.tile_x0 + tile.tile_w > x
+  && tile.tile_y0 < y + h
+  && tile.tile_y0 + tile.tile_h > y
+
 let pp_mode fmt = function
   | Lossless -> Format.pp_print_string fmt "lossless"
   | Lossy -> Format.pp_print_string fmt "lossy"

@@ -110,6 +110,10 @@ val segment_bytes : tile_segment -> int
 (** Total entropy-coded payload of a tile (sum of all code-block
     codewords). *)
 
+val in_window : tile_segment -> x:int -> y:int -> w:int -> h:int -> bool
+(** Whether the tile overlaps the [w]x[h] window at ([x], [y]) — the
+    tiles a region decode must entropy-decode. *)
+
 val block_grid : code_block:int -> w:int -> h:int -> (int * int * int * int) list
 (** Code-block rectangles [(x0, y0, w, h)] tiling a [w]x[h] band in
     raster order; empty for a zero-area band. *)

@@ -502,36 +502,17 @@ let decode_region ?(pool = Par.Pool.sequential) ~x ~y ~w ~h data =
     || x + w > header.Codestream.width
     || y + h > header.Codestream.height
   then invalid_arg "Decoder.decode_region: window outside the image";
-  let intersects tile =
-    tile.Codestream.tile_x0 < x + w
-    && tile.Codestream.tile_x0 + tile.Codestream.tile_w > x
-    && tile.Codestream.tile_y0 < y + h
-    && tile.Codestream.tile_y0 + tile.Codestream.tile_h > y
+  let needed =
+    Array.of_list
+      (List.filter
+         (fun seg -> Codestream.in_window seg ~x ~y ~w ~h)
+         stream.Codestream.tiles)
   in
-  let needed = Array.of_list (List.filter intersects stream.Codestream.tiles) in
-  let region = Image.create ~width:w ~height:h ~components:header.Codestream.components
-      ~bit_depth:header.Codestream.bit_depth () in
   let decoded =
     Par.Pool.map pool needed (fun seg -> decode_tile ~pool header seg)
   in
-  (* Each tile contributes the rectangle where it overlaps the window,
-     one row blit per component line. *)
-  Array.iter
-    (fun tile ->
-      Array.iteri
-        (fun c sub ->
-          let x0 = max x tile.Tile.x0
-          and x1 = min (x + w) (tile.Tile.x0 + sub.Image.width)
-          and y0 = max y tile.Tile.y0
-          and y1 = min (y + h) (tile.Tile.y0 + sub.Image.height) in
-          for gy = y0 to y1 - 1 do
-            Image.blit_row ~src:sub ~src_x:(x0 - tile.Tile.x0)
-              ~src_y:(gy - tile.Tile.y0) ~dst:region.Image.planes.(c)
-              ~dst_x:(x0 - x) ~dst_y:(gy - y) ~len:(x1 - x0)
-          done)
-        tile.Tile.planes)
-    decoded;
-  region
+  Tile.crop ~x ~y ~w ~h ~components:header.Codestream.components
+    ~bit_depth:header.Codestream.bit_depth (Array.to_list decoded)
 
 let decode_tile_reduced ?(pool = Par.Pool.sequential) header ~discard tile =
   let reduced_header, reduced_tile = reduced_view header ~discard tile in

@@ -50,3 +50,23 @@ let assemble ~width:image_w ~height:image_h ~components ?bit_depth tiles =
         tile.planes)
     tiles;
   image
+
+let crop ~x ~y ~w ~h ~components ?bit_depth tiles =
+  let region = Image.create ~width:w ~height:h ~components ?bit_depth () in
+  List.iter
+    (fun tile ->
+      Array.iteri
+        (fun c sub ->
+          let x0 = Stdlib.max x tile.x0
+          and x1 = Stdlib.min (x + w) (tile.x0 + sub.Image.width)
+          and y0 = Stdlib.max y tile.y0
+          and y1 = Stdlib.min (y + h) (tile.y0 + sub.Image.height) in
+          if x0 < x1 then
+            for gy = y0 to y1 - 1 do
+              Image.blit_row ~src:sub ~src_x:(x0 - tile.x0)
+                ~src_y:(gy - tile.y0) ~dst:region.Image.planes.(c)
+                ~dst_x:(x0 - x) ~dst_y:(gy - y) ~len:(x1 - x0)
+            done)
+        tile.planes)
+    tiles;
+  region

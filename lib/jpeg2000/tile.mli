@@ -22,6 +22,14 @@ val assemble :
   width:int -> height:int -> components:int -> ?bit_depth:int -> t list -> Image.t
 (** Rebuilds an image from tiles produced by {!split} (any order). *)
 
+val crop :
+  x:int -> y:int -> w:int -> h:int -> components:int -> ?bit_depth:int ->
+  t list -> Image.t
+(** The [w]x[h] window at image position ([x], [y]) cut out of the
+    given tiles: each tile contributes the rectangle where it overlaps
+    the window, one row copy per plane line. Window pixels no tile
+    covers stay zero. *)
+
 val width : t -> int
 val height : t -> int
 val components : t -> int

@@ -29,3 +29,7 @@ let image h (image : Jpeg2000.Image.t) =
            p.Jpeg2000.Image.data
   done;
   !h
+
+let int64 h v =
+  int (int h (Int64.to_int (Int64.shift_right_logical v 32)))
+    (Int64.to_int (Int64.logand v 0xFFFFFFFFL))

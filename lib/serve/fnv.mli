@@ -21,3 +21,7 @@ val string : int64 -> string -> int64
 val image : int64 -> Jpeg2000.Image.t -> int64
 (** Per plane, in order: its width, its height, then {!ints} over its
     samples. *)
+
+val int64 : int64 -> int64 -> int64
+(** Folds a 64-bit value (another digest, say) as two {!int}s: its
+    high 32 bits, then its low 32 bits. *)

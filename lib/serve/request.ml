@@ -47,54 +47,63 @@ let parse_spec s =
   in
   let ( let* ) = Result.bind in
   let* pairs = Spec.parse_pairs body in
-  let int_field key default = Spec.int_field pairs key default Spec.any in
-  let float_field key default = Spec.float_field pairs key default Spec.any in
   let known shape_keys =
     let all = [ "n"; "seed"; "deadline"; "region"; "reduced" ] @ shape_keys in
     Spec.check_known all pairs
+  in
+  (* a duration in ms, kept as written once it is known to convert *)
+  let ms ?positive key v =
+    Result.map (fun _ -> v) (Spec.duration Spec.Ms ?positive key v)
   in
   let* shape =
     match shape_name with
     | "open" ->
       let* () = known [ "rate" ] in
-      let* rate_rps = float_field "rate" 400.0 in
-      if rate_rps <= 0.0 then Error "rate must be > 0"
+      let* rate_rps =
+        Spec.float_field pairs "rate" 400.0 (Spec.positive "rate")
+      in
+      (* at least one request per 1000 simulated seconds, so the mean
+         gap stays a duration [Spec.duration] accepts *)
+      if rate_rps < 1e-3 then
+        Error (Printf.sprintf "rate=%g must be >= 0.001" rate_rps)
       else Ok (Open_loop { rate_rps })
     | "closed" ->
       let* () = known [ "clients"; "think" ] in
-      let* clients = int_field "clients" 4 in
-      let* think_ms = float_field "think" 2.0 in
-      if clients < 1 then Error "clients must be >= 1"
-      else if think_ms < 0.0 then Error "think must be >= 0"
-      else Ok (Closed_loop { clients; think_ms })
+      let* clients =
+        Spec.int_field pairs "clients" 4 (Spec.at_least "clients" 1)
+      in
+      let* think_ms = Spec.float_field pairs "think" 2.0 (ms "think") in
+      Ok (Closed_loop { clients; think_ms })
     | other ->
       Error (Printf.sprintf "unknown workload shape %S (use open or closed)" other)
   in
-  let* n = int_field "n" 64 in
-  let* seed = int_field "seed" 11 in
-  let* deadline_ms = float_field "deadline" 25.0 in
-  let* region_share = float_field "region" 0.25 in
-  let* reduced_share = float_field "reduced" 0.25 in
-  if n < 1 then Error "n must be >= 1"
-  else if deadline_ms <= 0.0 then Error "deadline must be > 0"
-  else if
-    region_share < 0.0 || reduced_share < 0.0
-    || region_share +. reduced_share > 1.0
-  then Error "region and reduced shares must be >= 0 and sum to <= 1"
-  else
-    Ok { shape; n; seed; deadline_ms; region_share; reduced_share }
+  let* n = Spec.int_field pairs "n" 64 (Spec.at_least "n" 1) in
+  let* seed = Spec.int_field pairs "seed" 11 Spec.any in
+  let* deadline_ms =
+    Spec.float_field pairs "deadline" 25.0 (ms ~positive:true "deadline")
+  in
+  let* region_share =
+    Spec.float_field pairs "region" 0.25 (Spec.unit_interval "region")
+  in
+  let* reduced_share =
+    Spec.float_field pairs "reduced" 0.25 (Spec.unit_interval "reduced")
+  in
+  if region_share +. reduced_share > 1.0 then
+    Error "region and reduced shares must sum to <= 1"
+  else Ok { shape; n; seed; deadline_ms; region_share; reduced_share }
 
 let spec_to_string spec =
+  let f = Spec.float_to_string in
   let mix =
-    Printf.sprintf "seed=%d,deadline=%g,region=%g,reduced=%g" spec.seed
-      spec.deadline_ms spec.region_share spec.reduced_share
+    Printf.sprintf "seed=%d,deadline=%s,region=%s,reduced=%s" spec.seed
+      (f spec.deadline_ms) (f spec.region_share) (f spec.reduced_share)
   in
   match spec.shape with
   | Open_loop { rate_rps } ->
-    Printf.sprintf "open:n=%d,rate=%g,%s" spec.n rate_rps mix
+    Printf.sprintf "open:n=%d,rate=%s,%s" spec.n (f rate_rps) mix
   | Closed_loop { clients; think_ms } ->
-    Printf.sprintf "closed:n=%d,clients=%d,think=%g,%s" spec.n clients think_ms
-      mix
+    Printf.sprintf "closed:n=%d,clients=%d,think=%s,%s" spec.n clients
+      (f think_ms) mix
 
 (* -- seeded draws ---------------------------------------------------- *)
 

@@ -48,8 +48,10 @@ val trace_to_string : int64 -> string
 
     [deadline] is the relative SLO in ms; [region]/[reduced] are the
     shares of region and reduced-resolution requests (the remainder
-    decodes the full image). Unknown keys, malformed values and
-    out-of-range shares are rejected with a one-line message. *)
+    decodes the full image). Unknown keys, malformed values, NaN,
+    out-of-range shares, rates below 0.001 and durations ([deadline],
+    [think]) that {!Spec.duration} refuses are rejected with a
+    one-line message naming the key and value. *)
 
 type shape =
   | Open_loop of { rate_rps : float }
@@ -66,7 +68,8 @@ type spec = {
 
 val parse_spec : string -> (spec, string) result
 val spec_to_string : spec -> string
-(** Canonical round-trippable form, embedded in reports. *)
+(** Canonical form, embedded in reports; it parses back to the same
+    spec. *)
 
 val draw_target :
   Faults.Rng.t -> width:int -> height:int -> levels:int -> spec -> target

@@ -80,8 +80,6 @@ let create ?(config = default_config) corpus =
   in
   { config; streams }
 
-let stream_count t = Array.length t.streams
-
 (* -- the virtual-time cost model -------------------------------------
    Calibrated against the repository's own microbenchmarks (bench
    t1_block_32x32, dwt53_128x128): an entropy-decoded code block costs
@@ -98,7 +96,7 @@ let ps_per_hit = 400_000 (* per cache-served tile: 0.4 us *)
 let ps_per_out_sample = 2_000 (* assembly/crop per output sample: 2 ns *)
 
 let ps_of_ms f = int_of_float ((f *. 1e9) +. 0.5)
-let ms_of_ps ps = float_of_int ps /. 1e9
+let ms_of_ps = Spec.of_ps Spec.Ms
 
 (* -- latency / pixel accounting -------------------------------------- *)
 
@@ -204,14 +202,11 @@ let needed_keys stream req_target =
   | Request.Reduced { discard } ->
     Array.to_list (Array.mapi (fun i _ -> (i, key i discard)) stream.s_tiles)
   | Request.Region { rx; ry; rw; rh } ->
-    let intersects (seg : Jpeg2000.Codestream.tile_segment) =
-      seg.Jpeg2000.Codestream.tile_x0 < rx + rw
-      && seg.Jpeg2000.Codestream.tile_x0 + seg.Jpeg2000.Codestream.tile_w > rx
-      && seg.Jpeg2000.Codestream.tile_y0 < ry + rh
-      && seg.Jpeg2000.Codestream.tile_y0 + seg.Jpeg2000.Codestream.tile_h > ry
-    in
     List.filter_map
-      (fun (i, seg) -> if intersects seg then Some (i, key i 0) else None)
+      (fun (i, seg) ->
+        if Jpeg2000.Codestream.in_window seg ~x:rx ~y:ry ~w:rw ~h:rh then
+          Some (i, key i 0)
+        else None)
       (Array.to_list (Array.mapi (fun i seg -> (i, seg)) stream.s_tiles))
 
 let output_dims stream = function
@@ -230,39 +225,11 @@ let assemble stream target tiles =
   let components = header.Jpeg2000.Codestream.components in
   let bit_depth = header.Jpeg2000.Codestream.bit_depth in
   match target with
-  | Request.Full ->
-    Jpeg2000.Tile.assemble ~width:header.Jpeg2000.Codestream.width
-      ~height:header.Jpeg2000.Codestream.height ~components ~bit_depth tiles
-  | Request.Reduced { discard } ->
-    Jpeg2000.Tile.assemble
-      ~width:
-        (Jpeg2000.Decoder.reduced_size header.Jpeg2000.Codestream.width discard)
-      ~height:
-        (Jpeg2000.Decoder.reduced_size header.Jpeg2000.Codestream.height discard)
-      ~components ~bit_depth tiles
+  | Request.Full | Request.Reduced _ ->
+    let width, height = output_dims stream target in
+    Jpeg2000.Tile.assemble ~width ~height ~components ~bit_depth tiles
   | Request.Region { rx; ry; rw; rh } ->
-    let region =
-      Jpeg2000.Image.create ~width:rw ~height:rh ~components ~bit_depth ()
-    in
-    (* one row copy per row of each tile plane's overlap with the window *)
-    List.iter
-      (fun (tile : Jpeg2000.Tile.t) ->
-        let tx = tile.Jpeg2000.Tile.x0 and ty = tile.Jpeg2000.Tile.y0 in
-        Array.iteri
-          (fun c (sub : Jpeg2000.Image.plane) ->
-            let x0 = Stdlib.max rx tx
-            and x1 = Stdlib.min (rx + rw) (tx + sub.Jpeg2000.Image.width)
-            and y0 = Stdlib.max ry ty
-            and y1 = Stdlib.min (ry + rh) (ty + sub.Jpeg2000.Image.height) in
-            if x0 < x1 then
-              for y = y0 to y1 - 1 do
-                Jpeg2000.Image.blit_row ~src:sub ~src_x:(x0 - tx)
-                  ~src_y:(y - ty) ~dst:region.Jpeg2000.Image.planes.(c)
-                  ~dst_x:(x0 - rx) ~dst_y:(y - ry) ~len:(x1 - x0)
-              done)
-          tile.Jpeg2000.Tile.planes)
-      tiles;
-    region
+    Jpeg2000.Tile.crop ~x:rx ~y:ry ~w:rw ~h:rh ~components ~bit_depth tiles
 
 (* Largest degrade level the stream supports: the tile grid must stay
    aligned, and a decode must keep at least one detail level
@@ -292,9 +259,10 @@ let degrade_target stream target =
 (* -- workload generation ---------------------------------------------- *)
 
 (* Draw order per request is fixed (stream, target, priority) so a
-   spec replays identically no matter how the service interleaves
+   spec replays identically no matter how the engine interleaves
    generation and completion. *)
-let draw_request rng ~id ~nstreams ~streams ~arrival_ps ~deadline_ps spec =
+let draw_request rng ~id ~streams ~arrival_ps ~deadline_ps spec =
+  let nstreams = Array.length streams in
   let stream = if nstreams = 1 then 0 else Faults.Rng.int rng nstreams in
   let s = streams.(stream) in
   let target =
@@ -307,211 +275,310 @@ let draw_request rng ~id ~nstreams ~streams ~arrival_ps ~deadline_ps spec =
   let trace = Request.trace_id ~seed:spec.Request.seed id in
   { Request.id; trace; stream; target; priority; arrival_ps; deadline_ps }
 
-(* -- fleet hooks ------------------------------------------------------
-   Accessors and helpers the fleet layer builds its replicated
-   services and external load balancer from; everything here is a pure
-   view of existing state or a re-export of the deterministic
-   machinery above. *)
-
-let config (t : t) = t.config
-let streams (t : t) = t.streams
-let stream_digest s = s.s_digest
-let stream_header s = s.s_header
-let stream_tile s i = s.s_tiles.(i)
-let stream_tile_count s = Array.length s.s_tiles
-let stream_reference s = Lazy.force s.s_reference
-let fnv_basis = Fnv.basis
-let fnv_image = Fnv.image
-
-let edf_request_order (a : Request.t) (b : Request.t) =
-  let c = Int.compare a.Request.deadline_ps b.Request.deadline_ps in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.Request.priority b.Request.priority in
-    if c <> 0 then c else Int.compare a.Request.id b.Request.id
-
-(* The full arrival sequence of an open-loop spec, pre-drawn with
-   exactly the RNG discipline of [run]'s generator so a fleet workload
-   replays the same requests a single service would see. *)
 let open_arrivals (t : t) spec =
   match spec.Request.shape with
   | Request.Closed_loop _ ->
     invalid_arg "Serve.Service.open_arrivals: closed-loop spec"
   | Request.Open_loop { rate_rps } ->
-    let nstreams = Array.length t.streams in
     let deadline_rel_ps = ps_of_ms spec.Request.deadline_ms in
     let rng = Faults.Rng.create spec.Request.seed in
     let mean_ms = 1000.0 /. rate_rps in
     let arrival = ref 0 in
-    let out = ref [] in
-    for id = 0 to spec.Request.n - 1 do
-      arrival := !arrival + ps_of_ms (Request.exp_draw rng ~mean:mean_ms);
-      out :=
-        draw_request rng ~id ~nstreams ~streams:t.streams ~arrival_ps:!arrival
-          ~deadline_ps:(!arrival + deadline_rel_ps) spec
-        :: !out
-    done;
-    Array.of_list (List.rev !out)
+    Array.init spec.Request.n (fun id ->
+        arrival := !arrival + ps_of_ms (Request.exp_draw rng ~mean:mean_ms);
+        draw_request rng ~id ~streams:t.streams ~arrival_ps:!arrival
+          ~deadline_ps:(!arrival + deadline_rel_ps) spec)
 
-(* -- the scheduler ----------------------------------------------------- *)
+(* -- hooks ------------------------------------------------------------- *)
+
+let streams (t : t) = t.streams
+let stream_digest s = s.s_digest
+let stream_header s = s.s_header
+let stream_tile s i = s.s_tiles.(i)
+let stream_tile_count s = Array.length s.s_tiles
+let fnv_basis = Fnv.basis
+let fnv_image = Fnv.image
+
+(* -- the engine -------------------------------------------------------- *)
+
+type topology = {
+  replicas : int;
+  min_replicas : int;
+  max_replicas : int;
+  vnodes : int;
+  l2_capacity : int;
+  l2_transfer_ps : int;
+  spill : bool;
+  up_frac : float;
+  down_frac : float;
+  slo_up : float;
+  interval_ps : int;
+  warmup_ps : int;
+}
+
+(* One replica, no L2, no autoscaling (min = max): the single service. *)
+let single =
+  {
+    replicas = 1;
+    min_replicas = 1;
+    max_replicas = 1;
+    vnodes = 1;
+    l2_capacity = 0;
+    l2_transfer_ps = 0;
+    spill = false;
+    up_frac = 1.0;
+    down_frac = 0.0;
+    slo_up = 1.0;
+    interval_ps = 1;
+    warmup_ps = 0;
+  }
+
+type names = {
+  metric : string;
+  front : string;
+  track : int -> string -> string;
+}
+
+let serve_names =
+  {
+    metric = "serve.";
+    front = "serve.sched";
+    track = (fun _ role -> "serve." ^ role);
+  }
+
+type replica_stat = {
+  rs_id : int;
+  rs_served : int;
+  rs_batches : int;
+  rs_busy_ms : float;
+}
+
+type fleet_stats = {
+  spilled : int;
+  l1 : Lru.stats;
+  l2 : Tier.t option;
+  peak_replicas : int;
+  final_replicas : int;
+  scale_ups : int;
+  scale_downs : int;
+  scale_events : (float * string) list;
+  per_replica : replica_stat list;
+}
 
 type queued = {
   q_req : Request.t;
   q_degraded : bool;
+  q_delivery : Ingest.t option;  (* its bytes' arrival, with ingest on *)
   q_ready_ps : int;
       (* instant every tile the request needs has landed on the
          ingest path (= arrival when ingest is off); [max_int] when
          the faulted delivery never completes them *)
 }
 
-let edf_compare a b = edf_request_order a.q_req b.q_req
+type rstate = Inactive | Warming | Active | Draining
 
-let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
+type tracks = {
+  tr_queue : string;
+  tr_exec : string;
+  tr_sched : string;
+  tr_ingest : string;
+}
+
+type replica = {
+  r_id : int;
+  r_tracks : tracks;
+  mutable r_state : rstate;
+  mutable r_ready_ps : int;  (* warm-up completion while [Warming] *)
+  mutable r_queue : queued list;  (* unsorted; EDF-sorted at dispatch *)
+  mutable r_l1 : Cache.t option;
+  mutable r_busy_until : int;
+  mutable r_served : int;
+  mutable r_batches : int;
+  mutable r_busy_ps : int;
+  mutable r_activated : bool;  (* ever joined the ring *)
+  mutable r_digest : int64;  (* its served images, in its completion order *)
+}
+
+(* The batch scheduler's order: deadline, then priority, then id. *)
+let edf_compare a b =
+  let a = a.q_req and b = b.q_req in
+  let c = Int.compare a.Request.deadline_ps b.Request.deadline_ps in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.Request.priority b.Request.priority in
+    if c <> 0 then c else Int.compare a.Request.id b.Request.id
+
+let arrives_before (a : Request.t) (b : Request.t) =
+  a.Request.arrival_ps < b.Request.arrival_ps
+  || (a.Request.arrival_ps = b.Request.arrival_ps && a.Request.id < b.Request.id)
+
+let run_replicas ?(pool = Par.Pool.sequential) ?on_complete ?on_flush ~names
+    topo t spec =
   let config = t.config in
-  let nstreams = Array.length t.streams in
-  let cache =
-    if config.cache_capacity > 0 then
-      Some (Cache.create ~capacity:config.cache_capacity)
-    else None
+  let streams = t.streams in
+  let count ?by name =
+    if Telemetry.Sink.enabled () then
+      Telemetry.Sink.incr ?by (names.metric ^ name)
+  in
+  let observe ?exemplar name v =
+    if Telemetry.Sink.enabled () then
+      Telemetry.Sink.observe ?exemplar (names.metric ^ name) v
   in
   let deadline_rel_ps = ps_of_ms spec.Request.deadline_ms in
-  (* Per-request faulted deliveries. The ingest seed is a pure hash of
-     (workload seed, request id), so the workload RNG draws are
-     untouched by ingest settings and the whole timeline is fixed the
-     moment the request is drawn — no I/O events to simulate. *)
-  let deliveries : (int, Ingest.t) Hashtbl.t = Hashtbl.create 64 in
-  let delivery_for (r : Request.t) =
-    match Hashtbl.find_opt deliveries r.Request.id with
-    | Some d -> d
-    | None ->
-      let ing = Option.get config.ingest in
-      let stream = t.streams.(r.Request.stream) in
-      let seed =
-        Int64.to_int
-          (Int64.logand
-             (Faults.Rng.hash64
-                (Int64.of_int spec.Request.seed)
-                (Int64.of_int r.Request.id))
-             Int64.max_int)
-      in
-      let d =
-        Ingest.analyse ~layout:stream.s_layout ~seed ing
-          ~start_ps:r.Request.arrival_ps stream.s_data
-      in
-      Hashtbl.replace deliveries r.Request.id d;
-      d
+  (* Arrivals not yet admitted, sorted by (arrival, id). An open loop
+     is pre-drawn whole and read off the head. A closed loop draws each
+     client's next request when its previous one completes, so it
+     holds at most one per client and sorted insertion stays cheap. *)
+  let pending =
+    ref
+      (match spec.Request.shape with
+      | Request.Open_loop _ -> Array.to_list (open_arrivals t spec)
+      | Request.Closed_loop _ -> [])
   in
-  (* Instant every tile the request resolves to has landed. *)
-  let ready_ps (r : Request.t) =
-    match config.ingest with
-    | None -> r.Request.arrival_ps
-    | Some _ ->
-      let d = delivery_for r in
-      let stream = t.streams.(r.Request.stream) in
-      List.fold_left
-        (fun acc (tile_index, _) ->
-          Stdlib.max acc (Ingest.tile_landed_ps d tile_index))
-        r.Request.arrival_ps
-        (needed_keys stream r.Request.target)
-  in
-  (* generated-but-not-admitted requests, sorted by (arrival, id) *)
-  let pending = ref [] in
   let insert_pending r =
     let rec ins = function
-      | [] -> [ r ]
-      | x :: rest ->
-        if
-          x.Request.arrival_ps < r.Request.arrival_ps
-          || (x.Request.arrival_ps = r.Request.arrival_ps
-              && x.Request.id < r.Request.id)
-        then x :: ins rest
-        else r :: x :: rest
+      | x :: rest when arrives_before x r -> x :: ins rest
+      | rest -> r :: rest
     in
     pending := ins !pending
   in
   let next_id = ref 0 in
-  let fresh_id () =
-    let id = !next_id in
-    incr next_id;
-    id
-  in
-  (* Closed-loop state: one child RNG and a remaining-quota per
-     client; requests map back to their client for think-time
-     chaining. *)
   let client_of_request = Hashtbl.create 64 in
-  let clients_rng, clients_left =
+  let clients_rng, clients_left, think_ms =
     match spec.Request.shape with
-    | Request.Open_loop _ -> ([||], [||])
-    | Request.Closed_loop { clients; _ } ->
+    | Request.Open_loop _ -> ([||], [||], 0.0)
+    | Request.Closed_loop { clients; think_ms } ->
       let master = Faults.Rng.create spec.Request.seed in
       let rngs = Array.init clients (fun _ -> Faults.Rng.split master) in
-      let base = spec.Request.n / clients and extra = spec.Request.n mod clients in
-      let left = Array.init clients (fun c -> base + if c < extra then 1 else 0) in
-      (rngs, left)
+      let base = spec.Request.n / clients
+      and extra = spec.Request.n mod clients in
+      let left =
+        Array.init clients (fun c -> base + if c < extra then 1 else 0)
+      in
+      (rngs, left, think_ms)
   in
   let generate_client_request c ~not_before =
     if clients_left.(c) > 0 then begin
       clients_left.(c) <- clients_left.(c) - 1;
       let rng = clients_rng.(c) in
-      let think_ms =
-        match spec.Request.shape with
-        | Request.Closed_loop { think_ms; _ } -> think_ms
-        | Request.Open_loop _ -> assert false
+      let arrival_ps =
+        not_before + ps_of_ms (Request.exp_draw rng ~mean:think_ms)
       in
-      let arrival_ps = not_before + ps_of_ms (Request.exp_draw rng ~mean:think_ms) in
-      let id = fresh_id () in
-      let r =
-        draw_request rng ~id ~nstreams ~streams:t.streams ~arrival_ps
-          ~deadline_ps:(arrival_ps + deadline_rel_ps) spec
-      in
+      let id = !next_id in
+      incr next_id;
       Hashtbl.replace client_of_request id c;
-      insert_pending r
+      insert_pending
+        (draw_request rng ~id ~streams ~arrival_ps
+           ~deadline_ps:(arrival_ps + deadline_rel_ps) spec)
     end
   in
-  (match spec.Request.shape with
-  | Request.Open_loop { rate_rps } ->
-    let rng = Faults.Rng.create spec.Request.seed in
-    let mean_ms = 1000.0 /. rate_rps in
-    let arrival = ref 0 in
-    for _ = 1 to spec.Request.n do
-      arrival := !arrival + ps_of_ms (Request.exp_draw rng ~mean:mean_ms);
-      let id = fresh_id () in
-      insert_pending
-        (draw_request rng ~id ~nstreams ~streams:t.streams ~arrival_ps:!arrival
-           ~deadline_ps:(!arrival + deadline_rel_ps) spec)
-    done
-  | Request.Closed_loop { clients; _ } ->
-    for c = 0 to clients - 1 do
-      generate_client_request c ~not_before:0
-    done);
+  Array.iteri (fun c _ -> generate_client_request c ~not_before:0) clients_left;
+  let next_arrival_ps () =
+    match !pending with r :: _ -> r.Request.arrival_ps | [] -> max_int
+  in
+  (* A request's faulted delivery. The ingest seed is a pure hash of
+     (workload seed, request id), so the workload RNG draws are
+     untouched by ingest settings and the whole timeline is fixed the
+     moment the request is drawn — no I/O events to simulate. *)
+  let deliver (r : Request.t) ing =
+    let stream = streams.(r.Request.stream) in
+    let seed =
+      Int64.to_int
+        (Int64.logand
+           (Faults.Rng.hash64
+              (Int64.of_int spec.Request.seed)
+              (Int64.of_int r.Request.id))
+           Int64.max_int)
+    in
+    Ingest.analyse ~layout:stream.s_layout ~seed ing
+      ~start_ps:r.Request.arrival_ps stream.s_data
+  in
+  (* Instant every tile the request resolves to has landed. *)
+  let ready_ps (r : Request.t) = function
+    | None -> r.Request.arrival_ps
+    | Some d ->
+      List.fold_left
+        (fun acc (tile_index, _) ->
+          Stdlib.max acc (Ingest.tile_landed_ps d tile_index))
+        r.Request.arrival_ps
+        (needed_keys streams.(r.Request.stream) r.Request.target)
+  in
+  (* Instant a queued request becomes dispatchable: when its bytes are
+     ready, or at its deadline — whichever comes first — so a stalled
+     stream is flushed rather than waited out. *)
+  let dispatch_ps q =
+    match q.q_delivery with
+    | None -> q.q_req.Request.arrival_ps
+    | Some _ -> Stdlib.min q.q_ready_ps q.q_req.Request.deadline_ps
+  in
+  (* replicas *)
+  let l2 =
+    if topo.l2_capacity > 0 then
+      Some
+        (Tier.create ~capacity:topo.l2_capacity
+           ~transfer_ps:topo.l2_transfer_ps ())
+    else None
+  in
+  let l1s = ref [] (* every L1 any replica incarnation used *) in
+  let fresh_l1 () =
+    if config.cache_capacity > 0 then begin
+      let c = Cache.create ~capacity:config.cache_capacity in
+      l1s := c :: !l1s;
+      Some c
+    end
+    else None
+  in
+  let reps =
+    Array.init topo.max_replicas (fun i ->
+        {
+          r_id = i;
+          r_tracks =
+            {
+              tr_queue = names.track i "queue";
+              tr_exec = names.track i "exec";
+              tr_sched = names.track i "sched";
+              tr_ingest = names.track i "ingest";
+            };
+          r_state = Inactive;
+          r_ready_ps = 0;
+          r_queue = [];
+          r_l1 = None;
+          r_busy_until = 0;
+          r_served = 0;
+          r_batches = 0;
+          r_busy_ps = 0;
+          r_activated = false;
+          r_digest = Fnv.basis;
+        })
+  in
+  let ring = ref (Ring.create ~vnodes:topo.vnodes []) in
   (* mutable run state *)
   let now = ref 0 in
-  let queue = ref [] (* queued list, unsorted; EDF-sorted at dispatch *) in
   let total = ref 0
-  and served = ref 0
   and rejected = ref 0
   and dropped = ref 0
   and degraded = ref 0
-  and batches = ref 0
+  and spilled = ref 0
   and coalesced = ref 0
   and concealed = ref 0
-  and slo_misses = ref 0 in
-  let flushed = ref 0
-  and flush_failed = ref 0
-  and flush_concealed_blocks = ref 0
-  and flush_concealed_tiles = ref 0 in
-  let flush_psnr = ref Float.infinity in
-  let ing_sent = ref 0
-  and ing_lost = ref 0
-  and ing_duped = ref 0
-  and ing_reordered = ref 0
-  and ing_stall_ps = ref 0
-  and ing_bytes = ref 0 in
+  and slo_late = ref 0 in
+  let flushes = ref [] (* (robust report, psnr impact) per served flush *)
+  and flush_failed = ref 0 in
+  let ingested = ref [] (* every dispatched request's delivery *) in
   let latencies = ref [] in
-  let pixels = ref Fnv.basis in
   let makespan = ref 0 in
-  let queue_track = "serve.queue" and exec_track = "serve.exec" in
-  let sched_track = "serve.sched" and ingest_track = "serve.ingest" in
+  let scale_ups = ref 0 and scale_downs = ref 0 in
+  let scale_events = ref [] in
+  let peak = ref 0 in
+  (* the autoscaler's SLO window: requests finished or refused, and
+     how many of them missed *)
+  let window_events = ref 0 and window_missed = ref 0 in
+  let autoscale = topo.min_replicas <> topo.max_replicas in
+  let next_eval = ref topo.interval_ps in
+  let depth rep = List.length rep.r_queue in
+  let active_count () =
+    Array.fold_left (fun n r -> if r.r_state = Active then n + 1 else n) 0 reps
+  in
   (* Every span and instant about a request carries (id, trace); the
      trace id is a pure hash of (seed, id), so a histogram exemplar or
      a span arg resolves to the same request on any rerun. *)
@@ -521,35 +588,25 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
       ("trace", Telemetry.Event.Str (Request.trace_to_string r.Request.trace));
     ]
   in
-  (* Instant a queued request leaves the queue: when its bytes are
-     ready, or at its deadline — whichever comes first — so a stalled
-     stream is flushed rather than waited out. *)
-  let dispatch_ps q =
-    match config.ingest with
-    | None -> q.q_req.Request.arrival_ps
-    | Some _ -> Stdlib.min q.q_ready_ps q.q_req.Request.deadline_ps
+  let emit_depth rep =
+    Telemetry.Span.counter ~ts_ps:!now ~track:rep.r_tracks.tr_queue "queue_depth"
+      (depth rep)
   in
-  (* Fold a request's delivery counters into the report exactly once,
-     at dispatch, and close its ingest span. *)
-  let note_ingest q ~end_ps =
-    match config.ingest with
+  (* Note a request's delivery for the report exactly once, at
+     dispatch, and close its ingest span. *)
+  let note_ingest rep q ~end_ps =
+    match q.q_delivery with
     | None -> ()
-    | Some _ ->
+    | Some arr ->
       let r = q.q_req in
-      let arr = delivery_for r in
       let d = Ingest.delivery arr in
-      ing_sent := !ing_sent + d.Faults.Ingest.sent;
-      ing_lost := !ing_lost + d.Faults.Ingest.lost;
-      ing_duped := !ing_duped + d.Faults.Ingest.duped;
-      ing_reordered := !ing_reordered + d.Faults.Ingest.reordered;
-      ing_stall_ps := !ing_stall_ps + d.Faults.Ingest.stall_ps;
-      ing_bytes := !ing_bytes + Ingest.bytes_received arr;
-      Telemetry.Sink.incr ~by:d.Faults.Ingest.sent "serve.ingest.chunks";
-      Telemetry.Sink.incr ~by:d.Faults.Ingest.lost "serve.ingest.lost";
-      Telemetry.Sink.incr ~by:(Ingest.bytes_received arr) "serve.ingest.bytes";
+      ingested := arr :: !ingested;
+      count ~by:d.Faults.Ingest.sent "ingest.chunks";
+      count ~by:d.Faults.Ingest.lost "ingest.lost";
+      count ~by:(Ingest.bytes_received arr) "ingest.bytes";
       Telemetry.Span.complete ~ts_ps:r.Request.arrival_ps
         ~dur_ps:(Stdlib.max 0 (end_ps - r.Request.arrival_ps))
-        ~track:ingest_track ~cat:"ingest"
+        ~track:rep.r_tracks.tr_ingest ~cat:"ingest"
         ~args:
           (trace_args r
           @ [
@@ -558,86 +615,101 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
             ])
         "ingest"
   in
-  let emit_depth ts =
-    Telemetry.Span.counter ~ts_ps:ts ~track:queue_track "queue_depth"
-      (List.length !queue)
+  let refused () =
+    incr window_events;
+    incr window_missed
   in
-  let admit r =
+  (* Admission: route to the ring owner, spill along the successor
+     list when the owner is saturated, shed (or degrade) before any
+     replica queue overflows. *)
+  let admit (r : Request.t) =
     incr total;
-    Telemetry.Sink.incr "serve.arrivals";
-    let push q_req q_degraded =
-      queue := { q_req; q_degraded; q_ready_ps = ready_ps q_req } :: !queue;
-      emit_depth !now
-    in
-    let depth = List.length !queue in
-    let stream = t.streams.(r.Request.stream) in
-    let r, was_degraded =
-      if config.overload = Degrade && depth >= Stdlib.max 1 (config.queue_capacity / 2)
-      then
-        match degrade_target stream r.Request.target with
-        | Some target -> ({ r with Request.target }, true)
-        | None -> (r, false)
-      else (r, false)
-    in
-    if was_degraded then begin
-      incr degraded;
-      Telemetry.Sink.incr "serve.degraded";
-      Telemetry.Span.instant ~ts_ps:!now ~track:sched_track ~cat:"overload"
-        ~args:(trace_args r) "degrade"
-    end;
-    if depth < config.queue_capacity then push r was_degraded
-    else
-      match config.overload with
-      | Drop_oldest -> (
-        let oldest =
-          List.fold_left
-            (fun acc q ->
-              match acc with
-              | None -> Some q
-              | Some best ->
-                if
-                  q.q_req.Request.arrival_ps < best.q_req.Request.arrival_ps
-                  || (q.q_req.Request.arrival_ps = best.q_req.Request.arrival_ps
-                      && q.q_req.Request.id < best.q_req.Request.id)
-                then Some q
-                else acc)
-            None !queue
+    count "arrivals";
+    let stream = streams.(r.Request.stream) in
+    match Ring.owner !ring stream.s_digest with
+    | None -> assert false (* >= min_replicas stay active *)
+    | Some owner_id -> (
+      let owner = reps.(owner_id) in
+      let owner_depth = depth owner in
+      let r, was_degraded =
+        if
+          config.overload = Degrade
+          && owner_depth >= Stdlib.max 1 (config.queue_capacity / 2)
+        then
+          match degrade_target stream r.Request.target with
+          | Some target -> ({ r with Request.target }, true)
+          | None -> (r, false)
+        else (r, false)
+      in
+      if was_degraded then begin
+        incr degraded;
+        count "degraded";
+        Telemetry.Span.instant ~ts_ps:!now ~track:names.front ~cat:"overload"
+          ~args:(trace_args r) "degrade"
+      end;
+      let enqueue rep =
+        let q_delivery = Option.map (deliver r) config.ingest in
+        let q_ready_ps = ready_ps r q_delivery in
+        rep.r_queue <-
+          { q_req = r; q_degraded = was_degraded; q_delivery; q_ready_ps }
+          :: rep.r_queue;
+        emit_depth rep
+      in
+      if owner_depth < config.queue_capacity then enqueue owner
+      else
+        let spill_to =
+          if topo.spill then
+            (* the owner heads its successor list *)
+            List.find_opt
+              (fun i -> depth reps.(i) < config.queue_capacity)
+              (List.tl (Ring.successors !ring stream.s_digest))
+          else None
         in
-        match oldest with
-        | Some victim ->
-          queue := List.filter (fun q -> q != victim) !queue;
-          incr dropped;
-          Telemetry.Sink.incr "serve.dropped";
-          Telemetry.Span.instant ~ts_ps:!now ~track:sched_track ~cat:"overload"
-            ~args:(trace_args victim.q_req) "drop-oldest";
-          push r was_degraded
-        | None -> assert false)
-      | Reject | Degrade ->
-        incr rejected;
-        Telemetry.Sink.incr "serve.rejected";
-        Telemetry.Span.instant ~ts_ps:!now ~track:sched_track ~cat:"overload"
-          ~args:(trace_args r) "reject"
+        match spill_to with
+        | Some i ->
+          incr spilled;
+          count "spilled";
+          Telemetry.Span.instant ~ts_ps:!now ~track:names.front ~cat:"route"
+            ~args:
+              (trace_args r
+              @ [
+                  ("owner", Telemetry.Event.Int owner_id);
+                  ("to", Telemetry.Event.Int i);
+                ])
+            "spill";
+          enqueue reps.(i)
+        | None -> (
+          match config.overload with
+          | Drop_oldest ->
+            let victim =
+              List.fold_left
+                (fun best q ->
+                  if arrives_before q.q_req best.q_req then q else best)
+                (List.hd owner.r_queue) owner.r_queue
+            in
+            owner.r_queue <- List.filter (fun q -> q != victim) owner.r_queue;
+            incr dropped;
+            refused ();
+            count "dropped";
+            Telemetry.Span.instant ~ts_ps:!now ~track:names.front
+              ~cat:"overload" ~args:(trace_args victim.q_req) "drop-oldest";
+            enqueue owner
+          | Reject | Degrade ->
+            incr rejected;
+            refused ();
+            count "rejected";
+            Telemetry.Span.instant ~ts_ps:!now ~track:names.front
+              ~cat:"overload" ~args:(trace_args r) "reject"))
   in
-  let admit_due () =
-    let rec loop () =
-      match !pending with
-      | r :: rest when r.Request.arrival_ps <= !now ->
-        pending := rest;
-        admit r;
-        loop ()
-      | _ -> ()
-    in
-    loop ()
-  in
-  (* one dispatched batch *)
-  let run_batch batch =
-    incr batches;
-    Telemetry.Sink.incr "serve.batches";
-    Telemetry.Sink.observe "serve.batch_requests" (List.length batch);
+  (* One dispatched batch on one replica. *)
+  let run_batch rep batch =
     let batch_start = !now in
+    rep.r_batches <- rep.r_batches + 1;
+    count "batches";
+    observe "batch_requests" (List.length batch);
     (* Plan in EDF order: resolve every request's tile needs against
-       the cache and the tiles already staged by earlier requests of
-       this batch. *)
+       the replica's L1, the tiles already staged by earlier requests
+       of this batch, then the shared L2. *)
     let staged_tbl = Hashtbl.create 32 in
     let staged_rev = ref [] (* (key, staged), newest first *) in
     let staged_count = ref 0 in
@@ -645,50 +717,63 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
       List.map
         (fun q ->
           let r = q.q_req in
-          let stream = t.streams.(r.Request.stream) in
-          if config.ingest <> None && q.q_ready_ps > batch_start then
+          let stream = streams.(r.Request.stream) in
+          match q.q_delivery with
+          | Some arr when q.q_ready_ps > batch_start ->
             (* deadline fired before the bytes finished landing:
                serve best-effort from the received prefix *)
-            (q, `Flush)
-          else
+            (q, `Flush arr)
+          | _ ->
           let needs =
             List.map
               (fun (tile_index, key) ->
                 match
-                  match cache with Some c -> Cache.find c key | None -> None
+                  match rep.r_l1 with Some c -> Cache.find c key | None -> None
                 with
                 | Some tile -> (key, `Hit tile)
                 | None -> (
                   match Hashtbl.find_opt staged_tbl key with
                   | Some si ->
                     incr coalesced;
-                    Telemetry.Sink.incr "serve.coalesced";
+                    count "coalesced";
                     (key, `Shared si)
-                  | None ->
-                    let st =
-                      Jpeg2000.Decoder.stage_tile
-                        ~discard:key.Cache.discard stream.s_header
-                        stream.s_tiles.(tile_index)
-                    in
-                    (* T1 attribution per code-block class, priced by
-                       the same constants as the request's entropy
-                       stage — a deterministic counter family the
-                       profiler grafts in as a synthetic track. *)
-                    List.iter
-                      (fun (cls, blocks, bytes) ->
-                        Telemetry.Sink.incr ~by:blocks
-                          ("t1.class." ^ cls ^ ".blocks");
-                        Telemetry.Sink.incr
-                          ~by:
-                            ((ps_per_block * blocks)
-                            + (ps_per_coded_byte * bytes))
-                          ("t1.class." ^ cls ^ ".ps"))
-                      (Jpeg2000.Decoder.staged_block_classes st);
-                    let si = !staged_count in
-                    Hashtbl.replace staged_tbl key si;
-                    staged_rev := (key, st) :: !staged_rev;
-                    incr staged_count;
-                    (key, `Fresh si)))
+                  | None -> (
+                    match
+                      match l2 with Some t2 -> Tier.find t2 key | None -> None
+                    with
+                    | Some tile ->
+                      (* pull through to the local L1 so this
+                         replica's later batches hit at L1 cost *)
+                      (match rep.r_l1 with
+                      | Some c -> Cache.add c key tile
+                      | None -> ());
+                      count "l2.fetches";
+                      (key, `L2 tile)
+                    | None ->
+                      let st =
+                        Jpeg2000.Decoder.stage_tile
+                          ~discard:key.Cache.discard stream.s_header
+                          stream.s_tiles.(tile_index)
+                      in
+                      (* T1 attribution per code-block class, priced by
+                         the same constants as the request's entropy
+                         stage — a deterministic counter family the
+                         profiler grafts in as a synthetic track. *)
+                      List.iter
+                        (fun (cls, blocks, bytes) ->
+                          Telemetry.Sink.incr ~by:blocks
+                            ("t1.class." ^ cls ^ ".blocks");
+                          Telemetry.Sink.incr
+                            ~by:
+                              ((ps_per_block * blocks)
+                              + (ps_per_coded_byte * bytes))
+                            ("t1.class." ^ cls ^ ".ps"))
+                        (Jpeg2000.Decoder.staged_block_classes st);
+                      let si = !staged_count in
+                      Hashtbl.replace staged_tbl key si;
+                      staged_rev := (key, st) :: !staged_rev;
+                      incr staged_count;
+                      (key, `Fresh si))))
               (needed_keys stream r.Request.target)
           in
           (q, `Needs needs))
@@ -705,7 +790,7 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
                 Array.init (Jpeg2000.Decoder.staged_jobs st) (fun ji -> (si, ji)))
               staged))
     in
-    Telemetry.Sink.observe "serve.batch_jobs" (Array.length job_index);
+    observe "batch_jobs" (Array.length job_index);
     (* In-place staged protocol: each job decodes straight into its
        tile's flat coefficient planes (disjoint rectangles — race-free
        on any pool schedule); only the ok/concealed bit comes back
@@ -714,8 +799,8 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
       Par.Pool.map pool job_index (fun (si, ji) ->
           Jpeg2000.Decoder.staged_run (snd staged.(si)) ji)
     in
-    (* Finish staged tiles in staging order and publish them to the
-       cache; slice the flat ok array back per tile. *)
+    (* Finish staged tiles in staging order and publish them to both
+       cache tiers; slice the flat ok array back per tile. *)
     let tiles = Array.make (Array.length staged) None in
     let offset = ref 0 in
     Array.iteri
@@ -728,10 +813,11 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
         in
         concealed := !concealed + tile_concealed;
         tiles.(si) <- Some tile;
-        match cache with Some c -> Cache.add c key tile | None -> ())
+        (match rep.r_l1 with Some c -> Cache.add c key tile | None -> ());
+        match l2 with Some t2 -> Tier.add t2 key tile | None -> ())
       staged;
     let tile_of = function
-      | `Hit tile -> tile
+      | `Hit tile | `L2 tile -> tile
       | `Shared si | `Fresh si -> Option.get tiles.(si)
     in
     (* Serve the batch back to back on the simulated clock: each
@@ -741,34 +827,40 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
     List.iter
       (fun (q, plan) ->
         let r = q.q_req in
-        let stream = t.streams.(r.Request.stream) in
+        let stream = streams.(r.Request.stream) in
         (* completion accounting shared by both serve paths. [stages]
            is the request's deterministic cost split — the child spans
            tile the "request" span exactly (Σ stage = service_ps), so
            the profiler's cost tree attributes every picosecond of
            service to a named stage with zero self-time left on the
            parent beyond rounding. *)
-        let finish ~start ~service_ps ~stages ~target_label ~image =
+        let finish ~stages ~target_label ~image =
+          let start = !cursor in
+          let service_ps =
+            List.fold_left (fun acc (_, ps) -> acc + ps) 0 stages
+          in
+          cursor := start + service_ps;
           let completion = !cursor in
           let latency_ps = completion - r.Request.arrival_ps in
-          incr served;
+          rep.r_served <- rep.r_served + 1;
+          incr window_events;
           latencies := latency_ps :: !latencies;
           makespan := Stdlib.max !makespan completion;
           if completion > r.Request.deadline_ps then begin
-            incr slo_misses;
-            Telemetry.Sink.incr "serve.slo_misses";
-            Telemetry.Span.instant ~ts_ps:completion ~track:exec_track
+            incr slo_late;
+            incr window_missed;
+            count "slo_misses";
+            Telemetry.Span.instant ~ts_ps:completion ~track:rep.r_tracks.tr_exec
               ~cat:"slo" ~args:(trace_args r) "deadline-miss"
           end;
-          Telemetry.Sink.observe
-            ~exemplar:
-              (r.Request.id, Request.trace_to_string r.Request.trace)
-            "serve.latency_us" (latency_ps / 1_000_000);
+          observe
+            ~exemplar:(r.Request.id, Request.trace_to_string r.Request.trace)
+            "latency_us" (latency_ps / 1_000_000);
           Telemetry.Span.complete ~ts_ps:r.Request.arrival_ps
-            ~dur_ps:(start - r.Request.arrival_ps) ~track:queue_track
+            ~dur_ps:(start - r.Request.arrival_ps) ~track:rep.r_tracks.tr_queue
             ~cat:"queue" ~args:(trace_args r) "queued";
           Telemetry.Span.complete ~ts_ps:start ~dur_ps:service_ps
-            ~track:exec_track ~cat:"serve"
+            ~track:rep.r_tracks.tr_exec ~cat:"serve"
             ~args:
               (trace_args r
               @ [
@@ -781,11 +873,12 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
             (List.fold_left
                (fun ts (stage, dur_ps) ->
                  if dur_ps > 0 then
-                   Telemetry.Span.complete ~ts_ps:ts ~dur_ps ~track:exec_track
-                     ~cat:"stage" ~args:(trace_args r) stage;
+                   Telemetry.Span.complete ~ts_ps:ts ~dur_ps
+                     ~track:rep.r_tracks.tr_exec ~cat:"stage" ~args:(trace_args r)
+                     stage;
                  ts + dur_ps)
                start stages);
-          pixels := Fnv.image (Fnv.int !pixels r.Request.id) image;
+          rep.r_digest <- Fnv.image (Fnv.int rep.r_digest r.Request.id) image;
           completion
         in
         (* closed loop: the client thinks, then issues its next
@@ -796,30 +889,24 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
           | None -> ()
         in
         match plan with
-        | `Flush -> (
-          let arr = delivery_for r in
+        | `Flush arr -> (
           let prefix = Ingest.prefix_at arr batch_start in
-          note_ingest q ~end_ps:batch_start;
-          Telemetry.Span.instant ~ts_ps:batch_start ~track:sched_track
+          note_ingest rep q ~end_ps:batch_start;
+          Telemetry.Span.instant ~ts_ps:batch_start ~track:rep.r_tracks.tr_sched
             ~cat:"ingest"
             ~args:
               (trace_args r
               @ [ ("bytes", Telemetry.Event.Int (String.length prefix)) ])
             "flush";
           match Jpeg2000.Decoder.decode_robust ~pool prefix with
-          | Ok (image, rep) ->
-            incr flushed;
-            Telemetry.Sink.incr "serve.ingest.flushed";
-            flush_concealed_blocks :=
-              !flush_concealed_blocks + rep.Jpeg2000.Decoder.concealed_blocks;
-            flush_concealed_tiles :=
-              !flush_concealed_tiles + rep.Jpeg2000.Decoder.concealed_tiles;
+          | Ok (image, robust) ->
+            count "ingest.flushed";
             let psnr =
               Jpeg2000.Decoder.psnr_impact
                 ~reference:(Lazy.force stream.s_reference)
-                (image, rep)
+                (image, robust)
             in
-            if psnr < !flush_psnr then flush_psnr := psnr;
+            flushes := (robust, psnr) :: !flushes;
             (* a flush always renders the full frame: robust decode of
                the prefix, then whole-image assembly *)
             let out_samples =
@@ -827,43 +914,41 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
               * stream.s_header.Jpeg2000.Codestream.height
               * stream.s_header.Jpeg2000.Codestream.components
             in
-            let entropy_ps = ps_per_coded_byte * String.length prefix in
-            let reconstruct_ps = ps_per_sample * out_samples in
-            let assemble_ps = ps_per_out_sample * out_samples in
-            let service_ps = entropy_ps + reconstruct_ps + assemble_ps in
-            let start = !cursor in
-            cursor := !cursor + service_ps;
             let completion =
-              finish ~start ~service_ps
+              finish
                 ~stages:
                   [
-                    ("entropy", entropy_ps);
-                    ("reconstruct", reconstruct_ps);
-                    ("assemble", assemble_ps);
+                    ("entropy", ps_per_coded_byte * String.length prefix);
+                    ("reconstruct", ps_per_sample * out_samples);
+                    ("assemble", ps_per_out_sample * out_samples);
                   ]
                 ~target_label:"flush" ~image
             in
-            (match on_flush with Some f -> f r ~prefix image | None -> ());
+            (match on_flush with
+            | Some f -> f rep.r_id r ~prefix image
+            | None -> ());
             chain ~not_before:completion
           | Error _ ->
             (* prefix too short even for the header: nothing to serve *)
             incr flush_failed;
             incr dropped;
-            Telemetry.Sink.incr "serve.dropped";
-            Telemetry.Span.instant ~ts_ps:batch_start ~track:sched_track
+            refused ();
+            count "dropped";
+            Telemetry.Span.instant ~ts_ps:batch_start ~track:rep.r_tracks.tr_sched
               ~cat:"ingest" ~args:(trace_args r) "flush-failed";
             chain ~not_before:batch_start)
         | `Needs needs ->
-          note_ingest q ~end_ps:q.q_ready_ps;
-          (* Same cost model as before, split by stage: cache lookups,
+          note_ingest rep q ~end_ps:q.q_ready_ps;
+          (* The cost split by stage: cache lookups, L2 transfers,
              entropy (T1) decode of freshly staged tiles, subband
              reconstruction, output assembly. *)
-          let cache_ps = ref 0 and entropy_ps = ref 0 in
+          let cache_ps = ref 0 and l2_ps = ref 0 and entropy_ps = ref 0 in
           let reconstruct_ps = ref 0 in
           List.iter
             (fun (_, src) ->
               match src with
               | `Hit _ | `Shared _ -> cache_ps := !cache_ps + ps_per_hit
+              | `L2 _ -> l2_ps := !l2_ps + ps_per_hit + topo.l2_transfer_ps
               | `Fresh si ->
                 let st = snd staged.(si) in
                 entropy_ps :=
@@ -878,151 +963,388 @@ let run ?(pool = Par.Pool.sequential) ?on_complete ?on_flush t spec =
           let out_samples =
             ow * oh * stream.s_header.Jpeg2000.Codestream.components
           in
-          let assemble_ps = ps_per_out_sample * out_samples in
-          let service_ps =
-            !cache_ps + !entropy_ps + !reconstruct_ps + assemble_ps
-          in
-          let start = !cursor in
-          cursor := !cursor + service_ps;
           let image =
             assemble stream r.Request.target
               (List.map (fun (_, src) -> tile_of src) needs)
           in
           let completion =
-            finish ~start ~service_ps
+            finish
               ~stages:
                 [
                   ("cache", !cache_ps);
+                  ("l2", !l2_ps);
                   ("entropy", !entropy_ps);
                   ("reconstruct", !reconstruct_ps);
-                  ("assemble", assemble_ps);
+                  ("assemble", ps_per_out_sample * out_samples);
                 ]
               ~target_label:
                 (Format.asprintf "%a" Request.pp_target r.Request.target)
               ~image
           in
-          (match on_complete with Some f -> f r image | None -> ());
+          (match on_complete with Some f -> f rep.r_id r image | None -> ());
           chain ~not_before:completion)
       plans;
     Telemetry.Span.complete ~ts_ps:batch_start ~dur_ps:(!cursor - batch_start)
-      ~track:sched_track ~cat:"batch"
+      ~track:rep.r_tracks.tr_sched ~cat:"batch"
       ~args:
         [
           ("requests", Telemetry.Event.Int (List.length batch));
           ("jobs", Telemetry.Event.Int (Array.length job_index));
         ]
       "batch";
-    now := !cursor
+    rep.r_busy_ps <- rep.r_busy_ps + (!cursor - batch_start);
+    rep.r_busy_until <- !cursor
   in
-  (* main loop. A queued request is dispatchable once [dispatch_ps]
-     has passed — immediately when ingest is off (its bytes arrived
-     whole), else when its tiles land or its deadline fires. When
-     nothing is dispatchable the clock jumps to the next arrival or
-     the next dispatch instant; [dispatch_ps] is bounded by the
-     deadline, so a stalled stream can never wedge the loop. *)
-  let rec loop () =
-    let eligible, waiting =
-      List.partition (fun q -> dispatch_ps q <= !now) !queue
+  let deactivate rep =
+    rep.r_l1 <- None;
+    rep.r_state <- Inactive
+  in
+  (* Every replica, initial or scaled up, joins here and owns a trace
+     track from then on, even one that never sees traffic: an idle
+     replica is a finding, not a hole in the trace. *)
+  let activate rep =
+    rep.r_state <- Active;
+    rep.r_l1 <- fresh_l1 ();
+    rep.r_activated <- true;
+    rep.r_busy_until <- Stdlib.max rep.r_busy_until !now;
+    ring := Ring.add !ring rep.r_id;
+    peak := Stdlib.max !peak (active_count ());
+    Telemetry.Span.instant ~ts_ps:!now ~track:rep.r_tracks.tr_queue
+      ~cat:"lifecycle" "up";
+    Telemetry.Span.instant ~ts_ps:!now ~track:names.front ~cat:"autoscale"
+      ~args:[ ("replica", Telemetry.Event.Int rep.r_id) ]
+      "join"
+  in
+  let scale_event ~up rep =
+    let sign, what = if up then ("+", "up") else ("-", "down") in
+    scale_events :=
+      (ms_of_ps !now, Printf.sprintf "%sr%d" sign rep.r_id) :: !scale_events;
+    count ("scale_" ^ what ^ "s");
+    Telemetry.Span.instant ~ts_ps:!now ~track:names.front ~cat:"autoscale"
+      ~args:[ ("replica", Telemetry.Event.Int rep.r_id) ]
+      ("scale-" ^ what)
+  in
+  let eval_autoscaler () =
+    let active =
+      List.filter (fun r -> r.r_state = Active) (Array.to_list reps)
     in
-    if eligible = [] then begin
-      let next_arrival =
-        match !pending with
-        | [] -> max_int
-        | r :: _ -> r.Request.arrival_ps
-      in
-      let next_dispatch =
-        List.fold_left
-          (fun acc q -> Stdlib.min acc (dispatch_ps q))
-          max_int waiting
-      in
-      let next = Stdlib.min next_arrival next_dispatch in
-      if next < max_int then begin
-        now := Stdlib.max !now next;
-        admit_due ();
-        loop ()
-      end
+    let n_active = List.length active in
+    let warming =
+      Array.fold_left
+        (fun n r -> if r.r_state = Warming then n + 1 else n)
+        0 reps
+    in
+    let depth_sum = List.fold_left (fun s r -> s + depth r) 0 active in
+    let depth_frac =
+      if n_active = 0 then 0.0
+      else
+        float_of_int depth_sum
+        /. float_of_int (n_active * config.queue_capacity)
+    in
+    let miss_rate =
+      if !window_events = 0 then 0.0
+      else float_of_int !window_missed /. float_of_int !window_events
+    in
+    if
+      (depth_frac >= topo.up_frac || miss_rate >= topo.slo_up)
+      && n_active + warming < topo.max_replicas
+    then begin
+      match
+        List.find_opt (fun r -> r.r_state = Inactive) (Array.to_list reps)
+      with
+      | None -> ()
+      | Some rep ->
+        rep.r_state <- Warming;
+        rep.r_ready_ps <- !now + topo.warmup_ps;
+        incr scale_ups;
+        scale_event ~up:true rep
     end
-    else begin
-      let sorted = List.sort edf_compare eligible in
-      let rec take k = function
-        | [] -> ([], [])
-        | x :: rest when k > 0 ->
-          let batch, leftover = take (k - 1) rest in
-          (x :: batch, leftover)
-        | rest -> ([], rest)
+    else if
+      depth_frac <= topo.down_frac
+      && miss_rate < topo.slo_up && warming = 0
+      && n_active > topo.min_replicas
+    then begin
+      (* the emptiest active replica, the highest id on ties *)
+      match active with
+      | [] -> ()
+      | first :: _ ->
+        let rep =
+          List.fold_left
+            (fun b r ->
+              if depth r < depth b || (depth r = depth b && r.r_id > b.r_id)
+              then r
+              else b)
+            first active
+        in
+        ring := Ring.remove !ring rep.r_id;
+        incr scale_downs;
+        scale_event ~up:false rep;
+        if rep.r_queue = [] then deactivate rep else rep.r_state <- Draining
+    end;
+    window_events := 0;
+    window_missed := 0
+  in
+  (* A replica's next batch can start once it is idle and some queued
+     request is dispatchable — immediately when ingest is off (its
+     bytes arrived whole), else when its tiles land or its deadline
+     fires. [max_int] when its queue is empty. *)
+  let next_dispatch rep =
+    match rep.r_queue with
+    | [] -> max_int
+    | queue ->
+      Stdlib.max rep.r_busy_until
+        (List.fold_left
+           (fun acc q -> Stdlib.min acc (dispatch_ps q))
+           max_int queue)
+  in
+  let dispatch rep =
+    let eligible, waiting =
+      List.partition (fun q -> dispatch_ps q <= !now) rep.r_queue
+    in
+    let sorted = List.sort edf_compare eligible in
+    let batch = List.filteri (fun i _ -> i < config.max_batch) sorted in
+    rep.r_queue <-
+      List.filteri (fun i _ -> i >= config.max_batch) sorted @ waiting;
+    emit_depth rep;
+    run_batch rep batch;
+    if rep.r_state = Draining && rep.r_queue = [] then deactivate rep
+  in
+  (* Main loop: advance the clock to the earliest pending event and
+     process everything due, always in the same order (warm-ups, the
+     autoscaler, arrivals, then dispatches in replica-id order) so
+     simultaneous events resolve deterministically. Replicas serve in
+     parallel on the virtual clock — each one's busy window only gates
+     its own queue. Dispatch instants are bounded by deadlines, so a
+     stalled stream can never wedge the loop. *)
+  Telemetry.Span.instant ~ts_ps:0 ~track:names.front ~cat:"lifecycle" "up";
+  for i = 0 to topo.replicas - 1 do
+    activate reps.(i)
+  done;
+  let rec loop () =
+    let next = ref (next_arrival_ps ()) and busy = ref false in
+    Array.iter
+      (fun r ->
+        match r.r_state with
+        | Warming -> next := Stdlib.min !next r.r_ready_ps
+        | Active | Draining ->
+          if r.r_queue <> [] then busy := true;
+          next := Stdlib.min !next (next_dispatch r)
+        | Inactive -> ())
+      reps;
+    if !busy || !pending <> [] then begin
+      if autoscale then next := Stdlib.min !next !next_eval;
+      now := Stdlib.max !now !next;
+      Array.iter
+        (fun r -> if r.r_state = Warming && r.r_ready_ps <= !now then activate r)
+        reps;
+      if autoscale && !next_eval <= !now then begin
+        eval_autoscaler ();
+        next_eval := !now + topo.interval_ps
+      end;
+      let rec admit_due () =
+        match !pending with
+        | r :: rest when r.Request.arrival_ps <= !now ->
+          pending := rest;
+          admit r;
+          admit_due ()
+        | _ -> ()
       in
-      let batch, leftover = take config.max_batch sorted in
-      queue := leftover @ waiting;
-      emit_depth !now;
-      run_batch batch;
       admit_due ();
+      Array.iter
+        (fun r ->
+          if
+            (r.r_state = Active || r.r_state = Draining)
+            && next_dispatch r <= !now
+          then dispatch r)
+        reps;
       loop ()
     end
   in
-  admit_due ();
   loop ();
   (* snapshot *)
-  let cache_stats =
-    match cache with
-    | Some c -> Cache.stats c
-    | None -> { Lru.hits = 0; misses = 0; insertions = 0; evictions = 0 }
+  let l1 =
+    List.fold_left
+      (fun (a : Lru.stats) c ->
+        let s = Cache.stats c in
+        {
+          Lru.hits = a.hits + s.hits;
+          misses = a.misses + s.misses;
+          insertions = a.insertions + s.insertions;
+          evictions = a.evictions + s.evictions;
+        })
+      { Lru.hits = 0; misses = 0; insertions = 0; evictions = 0 }
+      !l1s
   in
-  Telemetry.Sink.incr ~by:cache_stats.Lru.hits "serve.cache.hits";
-  Telemetry.Sink.incr ~by:cache_stats.Lru.misses "serve.cache.misses";
-  Telemetry.Sink.incr ~by:cache_stats.Lru.evictions "serve.cache.evictions";
+  count ~by:l1.Lru.hits "cache.hits";
+  count ~by:l1.Lru.misses "cache.misses";
+  count ~by:l1.Lru.evictions "cache.evictions";
+  Option.iter
+    (fun t2 ->
+      let s = Tier.stats t2 in
+      count ~by:s.Lru.hits "l2.hits";
+      count ~by:s.Lru.misses "l2.misses")
+    l2;
+  (* Each replica folds its own completions; the run's digest starts
+     from replica 0's and mixes in every other replica that ever
+     activated, in id order — with one replica it is replica 0's. *)
+  let pixels =
+    Array.fold_left
+      (fun acc r ->
+        if r.r_id = 0 || not r.r_activated then acc else Fnv.int64 acc r.r_digest)
+      reps.(0).r_digest reps
+  in
+  let sum f = Array.fold_left (fun acc r -> acc + f r) 0 reps in
+  let served = sum (fun r -> r.r_served) in
   let latency = latency_of !latencies in
   let makespan_ms = ms_of_ps !makespan in
-  let slo_misses_total = !slo_misses + !rejected + !dropped in
-  {
-    workload = Request.spec_to_string spec;
-    streams = nstreams;
-    policy = overload_to_string config.overload;
-    queue_capacity = config.queue_capacity;
-    cache_capacity = config.cache_capacity;
-    max_batch = config.max_batch;
-    total = !total;
-    served = !served;
-    rejected = !rejected;
-    dropped = !dropped;
-    degraded = !degraded;
-    batches = !batches;
-    coalesced = !coalesced;
-    concealed_blocks = !concealed;
-    makespan_ms;
-    throughput_rps =
-      (if makespan_ms > 0.0 then float_of_int !served /. (makespan_ms /. 1000.0)
-       else 0.0);
-    latency;
-    slo_misses = slo_misses_total;
-    slo_miss_rate =
-      (if !total = 0 then 0.0
-       else float_of_int slo_misses_total /. float_of_int !total);
-    cache_hits = cache_stats.Lru.hits;
-    cache_misses = cache_stats.Lru.misses;
-    cache_evictions = cache_stats.Lru.evictions;
-    cache_hit_rate = Lru.hit_rate cache_stats;
-    ingest =
-      Option.map
-        (fun ing ->
-          {
-            ing_spec = Faults.Ingest.spec_to_string ing;
-            ing_chunks_sent = !ing_sent;
-            ing_chunks_lost = !ing_lost;
-            ing_chunks_duped = !ing_duped;
-            ing_chunks_reordered = !ing_reordered;
-            ing_stall_ms = ms_of_ps !ing_stall_ps;
-            ing_bytes = !ing_bytes;
-            ing_flushed = !flushed;
-            ing_flush_failed = !flush_failed;
-            ing_flush_concealed_blocks = !flush_concealed_blocks;
-            ing_flush_concealed_tiles = !flush_concealed_tiles;
-            ing_flush_psnr_db = !flush_psnr;
-          })
-        config.ingest;
-    pixels_digest = Printf.sprintf "%016Lx" !pixels;
-  }
+  let slo_misses = !slo_late + !rejected + !dropped in
+  let report =
+    {
+      workload = Request.spec_to_string spec;
+      streams = Array.length streams;
+      policy = overload_to_string config.overload;
+      queue_capacity = config.queue_capacity;
+      cache_capacity = config.cache_capacity;
+      max_batch = config.max_batch;
+      total = !total;
+      served;
+      rejected = !rejected;
+      dropped = !dropped;
+      degraded = !degraded;
+      batches = sum (fun r -> r.r_batches);
+      coalesced = !coalesced;
+      concealed_blocks = !concealed;
+      makespan_ms;
+      throughput_rps =
+        (if makespan_ms > 0.0 then
+           float_of_int served /. (makespan_ms /. 1000.0)
+         else 0.0);
+      latency;
+      slo_misses;
+      slo_miss_rate =
+        (if !total = 0 then 0.0
+         else float_of_int slo_misses /. float_of_int !total);
+      cache_hits = l1.Lru.hits;
+      cache_misses = l1.Lru.misses;
+      cache_evictions = l1.Lru.evictions;
+      cache_hit_rate = Lru.hit_rate l1;
+      ingest =
+        Option.map
+          (fun ing ->
+            let sum f = List.fold_left (fun acc a -> acc + f a) 0 !ingested in
+            let delivered f = sum (fun a -> f (Ingest.delivery a)) in
+            {
+              ing_spec = Faults.Ingest.spec_to_string ing;
+              ing_chunks_sent = delivered (fun d -> d.Faults.Ingest.sent);
+              ing_chunks_lost = delivered (fun d -> d.Faults.Ingest.lost);
+              ing_chunks_duped = delivered (fun d -> d.Faults.Ingest.duped);
+              ing_chunks_reordered =
+                delivered (fun d -> d.Faults.Ingest.reordered);
+              ing_stall_ms =
+                ms_of_ps (delivered (fun d -> d.Faults.Ingest.stall_ps));
+              ing_bytes = sum Ingest.bytes_received;
+              ing_flushed = List.length !flushes;
+              ing_flush_failed = !flush_failed;
+              ing_flush_concealed_blocks =
+                List.fold_left
+                  (fun acc (r, _) -> acc + r.Jpeg2000.Decoder.concealed_blocks)
+                  0 !flushes;
+              ing_flush_concealed_tiles =
+                List.fold_left
+                  (fun acc (r, _) -> acc + r.Jpeg2000.Decoder.concealed_tiles)
+                  0 !flushes;
+              ing_flush_psnr_db =
+                List.fold_left
+                  (fun acc (_, p) -> if p < acc then p else acc)
+                  Float.infinity !flushes;
+            })
+          config.ingest;
+      pixels_digest = Printf.sprintf "%016Lx" pixels;
+    }
+  in
+  let fleet =
+    {
+      spilled = !spilled;
+      l1;
+      l2;
+      peak_replicas = !peak;
+      final_replicas = active_count ();
+      scale_ups = !scale_ups;
+      scale_downs = !scale_downs;
+      scale_events = List.rev !scale_events;
+      per_replica =
+        List.filter_map
+          (fun r ->
+            if r.r_activated then
+              Some
+                {
+                  rs_id = r.r_id;
+                  rs_served = r.r_served;
+                  rs_batches = r.r_batches;
+                  rs_busy_ms = ms_of_ps r.r_busy_ps;
+                }
+            else None)
+          (Array.to_list reps);
+    }
+  in
+  (report, fleet)
+
+let run ?pool ?on_complete ?on_flush t spec =
+  fst
+    (run_replicas ?pool
+       ?on_complete:(Option.map (fun f _ r image -> f r image) on_complete)
+       ?on_flush:
+         (Option.map (fun f _ r ~prefix image -> f r ~prefix image) on_flush)
+       ~names:serve_names single t spec)
 
 (* -- rendering --------------------------------------------------------- *)
+
+let ingest_to_json = function
+  | None -> Telemetry.Json.Null
+  | Some i ->
+    let open Telemetry.Json in
+    Obj
+      [
+        ("spec", Str i.ing_spec);
+        ("chunks_sent", Int i.ing_chunks_sent);
+        ("chunks_lost", Int i.ing_chunks_lost);
+        ("chunks_duped", Int i.ing_chunks_duped);
+        ("chunks_reordered", Int i.ing_chunks_reordered);
+        ("stall_ms", Float i.ing_stall_ms);
+        ("bytes_received", Int i.ing_bytes);
+        ("flushed", Int i.ing_flushed);
+        ("flush_failed", Int i.ing_flush_failed);
+        ("flush_concealed_blocks", Int i.ing_flush_concealed_blocks);
+        ("flush_concealed_tiles", Int i.ing_flush_concealed_tiles);
+        ( "flush_psnr_db",
+          if Float.is_finite i.ing_flush_psnr_db then Float i.ing_flush_psnr_db
+          else Str "inf" );
+      ]
+
+let pp_ingest ppf i =
+  Format.fprintf ppf "ingest:          %s@," i.ing_spec;
+  Format.fprintf ppf
+    "                 %d chunks (%d lost, %d duped, %d reordered), %.3f ms stalled, %d bytes@,"
+    i.ing_chunks_sent i.ing_chunks_lost i.ing_chunks_duped
+    i.ing_chunks_reordered i.ing_stall_ms i.ing_bytes;
+  Format.fprintf ppf
+    "flushes:         %d served, %d failed (%d blocks, %d tiles concealed; worst %s dB)@,"
+    i.ing_flushed i.ing_flush_failed i.ing_flush_concealed_blocks
+    i.ing_flush_concealed_tiles
+    (if Float.is_finite i.ing_flush_psnr_db then
+       Printf.sprintf "%.2f" i.ing_flush_psnr_db
+     else "inf")
+
+let latency_to_json l =
+  let open Telemetry.Json in
+  Obj
+    [
+      ("mean", Float l.mean_ms);
+      ("p50", Float l.p50_ms);
+      ("p95", Float l.p95_ms);
+      ("p99", Float l.p99_ms);
+      ("max", Float l.max_ms);
+    ]
 
 let report_to_json r =
   let open Telemetry.Json in
@@ -1044,15 +1366,7 @@ let report_to_json r =
       ("concealed_blocks", Int r.concealed_blocks);
       ("makespan_ms", Float r.makespan_ms);
       ("throughput_rps", Float r.throughput_rps);
-      ( "latency_ms",
-        Obj
-          [
-            ("mean", Float r.latency.mean_ms);
-            ("p50", Float r.latency.p50_ms);
-            ("p95", Float r.latency.p95_ms);
-            ("p99", Float r.latency.p99_ms);
-            ("max", Float r.latency.max_ms);
-          ] );
+      ("latency_ms", latency_to_json r.latency);
       ("slo_misses", Int r.slo_misses);
       ("slo_miss_rate", Float r.slo_miss_rate);
       ( "cache",
@@ -1063,28 +1377,7 @@ let report_to_json r =
             ("evictions", Int r.cache_evictions);
             ("hit_rate", Float r.cache_hit_rate);
           ] );
-      ( "ingest",
-        match r.ingest with
-        | None -> Null
-        | Some i ->
-          Obj
-            [
-              ("spec", Str i.ing_spec);
-              ("chunks_sent", Int i.ing_chunks_sent);
-              ("chunks_lost", Int i.ing_chunks_lost);
-              ("chunks_duped", Int i.ing_chunks_duped);
-              ("chunks_reordered", Int i.ing_chunks_reordered);
-              ("stall_ms", Float i.ing_stall_ms);
-              ("bytes_received", Int i.ing_bytes);
-              ("flushed", Int i.ing_flushed);
-              ("flush_failed", Int i.ing_flush_failed);
-              ("flush_concealed_blocks", Int i.ing_flush_concealed_blocks);
-              ("flush_concealed_tiles", Int i.ing_flush_concealed_tiles);
-              ( "flush_psnr_db",
-                if Float.is_finite i.ing_flush_psnr_db then
-                  Float i.ing_flush_psnr_db
-                else Str "inf" );
-            ] );
+      ("ingest", ingest_to_json r.ingest);
       ("pixels_digest", Str r.pixels_digest);
     ]
 
@@ -1110,20 +1403,6 @@ let pp_report ppf r =
     (100.0 *. r.slo_miss_rate) r.total;
   Format.fprintf ppf "cache:           %d hits, %d misses, %d evictions (%.1f%% hit rate)@,"
     r.cache_hits r.cache_misses r.cache_evictions (100.0 *. r.cache_hit_rate);
-  (match r.ingest with
-  | None -> ()
-  | Some i ->
-    Format.fprintf ppf "ingest:          %s@," i.ing_spec;
-    Format.fprintf ppf
-      "                 %d chunks (%d lost, %d duped, %d reordered), %.3f ms stalled, %d bytes@,"
-      i.ing_chunks_sent i.ing_chunks_lost i.ing_chunks_duped
-      i.ing_chunks_reordered i.ing_stall_ms i.ing_bytes;
-    Format.fprintf ppf
-      "flushes:         %d served, %d failed (%d blocks, %d tiles concealed; worst %s dB)@,"
-      i.ing_flushed i.ing_flush_failed i.ing_flush_concealed_blocks
-      i.ing_flush_concealed_tiles
-      (if Float.is_finite i.ing_flush_psnr_db then
-         Printf.sprintf "%.2f" i.ing_flush_psnr_db
-       else "inf"));
+  Option.iter (pp_ingest ppf) r.ingest;
   Format.fprintf ppf "pixels digest:   %s" r.pixels_digest;
   Format.fprintf ppf "@]"

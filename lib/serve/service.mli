@@ -69,8 +69,6 @@ val create : ?config:config -> string array -> t
     Raises [Invalid_argument] on an empty corpus, a malformed
     codestream, or an out-of-range config. *)
 
-val stream_count : t -> int
-
 type latency = {
   mean_ms : float;
   p50_ms : float;
@@ -151,20 +149,98 @@ val run :
 val report_to_json : report -> Telemetry.Json.t
 val pp_report : Format.formatter -> report -> unit
 
+val latency_to_json : latency -> Telemetry.Json.t
+val ingest_to_json : ingest_stats option -> Telemetry.Json.t
+val pp_ingest : Format.formatter -> ingest_stats -> unit
+(** Blocks of a report, as {!report_to_json} and {!pp_report} render
+    them. *)
+
 (** {1 Fleet hooks}
 
-    The building blocks an external balancer needs to run many replica
-    services against one corpus: per-stream accessors, request
-    expansion, the virtual-time cost constants, and the workload
-    generator. [Fleet] (in [lib/fleet]) composes these into a sharded
-    cluster; everything here is deterministic, so a fleet built on it
-    inherits the byte-identical-report property. *)
+    {!run} is the one-replica case of a replicated engine; [Fleet] (in
+    [lib/fleet]) runs the same engine with many replicas, the
+    consistent-hash {!Ring} and the shared L2 {!Tier}. The per-stream
+    accessors and helpers below let tools replay parts of a run. *)
+
+type topology = {
+  replicas : int;  (** replicas active at start (>= 1) *)
+  min_replicas : int;  (** autoscaler floor, [1 <= min <= replicas] *)
+  max_replicas : int;  (** autoscaler ceiling, [>= replicas] *)
+  vnodes : int;  (** ring points per replica (>= 1) *)
+  l2_capacity : int;  (** shared L2 tiles; 0 disables the tier *)
+  l2_transfer_ps : int;  (** simulated cost per tile fetched from L2 *)
+  spill : bool;  (** saturated owner spills to ring successors *)
+  up_frac : float;
+      (** mean queue-depth fraction at or above which the autoscaler
+          adds a replica *)
+  down_frac : float;  (** depth fraction at or below which it drains one *)
+  slo_up : float;
+      (** windowed SLO-miss rate at or above which it adds a replica *)
+  interval_ps : int;  (** autoscaler evaluation period *)
+  warmup_ps : int;  (** simulated boot time before a new replica joins *)
+}
+(** The replica set the engine runs. Autoscaling is on iff
+    [min_replicas <> max_replicas]. *)
+
+type names = {
+  metric : string;  (** prefix of every counter and histogram *)
+  front : string;  (** track of admission and autoscaling instants *)
+  track : int -> string -> string;
+      (** [track replica role]: the track of one replica's ["queue"]
+          (queued spans, depth counters), ["exec"] (request and stage
+          spans, deadline misses), ["sched"] (batch spans, flushes)
+          or ["ingest"] spans *)
+}
+(** Telemetry names: {!run} uses [serve.] metrics and the
+    [serve.queue/exec/sched/ingest] tracks. *)
+
+type replica_stat = {
+  rs_id : int;
+  rs_served : int;
+  rs_batches : int;
+  rs_busy_ms : float;  (** simulated time spent serving batches *)
+}
+
+type fleet_stats = {
+  spilled : int;  (** admitted by a ring successor, not the owner *)
+  l1 : Lru.stats;  (** summed over every replica incarnation *)
+  l2 : Tier.t option;  (** the shared tier, [None] when disabled *)
+  peak_replicas : int;  (** most simultaneously active *)
+  final_replicas : int;
+  scale_ups : int;
+  scale_downs : int;
+  scale_events : (float * string) list;
+      (** (simulated ms, ["+r5"] / ["-r2"]) in decision order *)
+  per_replica : replica_stat list;  (** replicas that ever activated *)
+}
+
+val run_replicas :
+  ?pool:Par.Pool.t ->
+  ?on_complete:(int -> Request.t -> Jpeg2000.Image.t -> unit) ->
+  ?on_flush:(int -> Request.t -> prefix:string -> Jpeg2000.Image.t -> unit) ->
+  names:names ->
+  topology ->
+  t ->
+  Request.spec ->
+  report * fleet_stats
+(** The engine behind {!run}, over a replica set. Each arrival goes
+    to the ring owner of its stream (spilling to ring successors when
+    [spill] is on and the owner is full); every replica batches its
+    own queue EDF, and looks tiles up in its L1, then among the
+    tiles its batch already stages, then in the L2, before staging a
+    fresh decode. The clock advances to the earliest of the next
+    arrival, each replica's next dispatch, warm-up completions and
+    autoscaler evaluations; ties resolve in replica-id order. The
+    report counts every replica; its [cache_*] fields sum the L1s.
+    Each replica folds its own served images into a digest as {!run}
+    does; [pixels_digest] is replica 0's digest with each further
+    replica that ever activated mixed in by {!Fnv.int64}, in id
+    order. The callbacks get the serving replica's id. *)
 
 type stream
 (** One registered codestream: bytes, digest, parsed header and tile
-    segments, lazily decoded clean reference. *)
+    segments. *)
 
-val config : t -> config
 val streams : t -> stream array
 
 val stream_digest : stream -> int64
@@ -174,52 +250,22 @@ val stream_header : stream -> Jpeg2000.Codestream.header
 val stream_tile : stream -> int -> Jpeg2000.Codestream.tile_segment
 val stream_tile_count : stream -> int
 
-val stream_reference : stream -> Jpeg2000.Image.t
-(** Clean full decode (forced on first use). *)
-
 val needed_keys : stream -> Request.target -> (int * Cache.key) list
 (** The (tile index, cache key) pairs a target expands to: all tiles
     at full resolution ([Full]), all tiles at the discard level
     ([Reduced]), or the intersecting tiles ([Region]). *)
 
-val output_dims : stream -> Request.target -> int * int
 val assemble : stream -> Request.target -> Jpeg2000.Tile.t list -> Jpeg2000.Image.t
-
-val max_discard : stream -> int
-(** Largest degrade level the stream's tile grid supports. *)
-
-val degrade_target : stream -> Request.target -> Request.target option
-(** The next lower resolution for an overloaded request, [None] when
-    already at {!max_discard}. *)
-
-val edf_request_order : Request.t -> Request.t -> int
-(** The batch scheduler's order: deadline, then priority, then id. *)
+(** The served image of a target from the tiles {!needed_keys} names. *)
 
 val open_arrivals : t -> Request.spec -> Request.t array
 (** Pre-draws the complete arrival sequence of an {e open-loop} spec
-    with the same RNG discipline as {!run}'s generator, sorted by
-    (arrival, id). Raises [Invalid_argument] on a closed-loop spec —
-    closed-loop arrivals depend on completions, which belong to the
-    service (or fleet) that serves them. *)
+    with the engine's RNG discipline, sorted by (arrival, id). Raises
+    [Invalid_argument] on a closed-loop spec — closed-loop arrivals
+    depend on completions. *)
 
 val latency_of : int list -> latency
 (** Nearest-rank percentiles over latency samples in picoseconds. *)
-
-(** {2 Virtual-time cost model}
-
-    The constants every service time derives from, in picoseconds;
-    see the calibration note in the implementation. *)
-
-val ps_per_batch : int
-val ps_per_block : int
-val ps_per_coded_byte : int
-val ps_per_sample : int
-val ps_per_hit : int
-val ps_per_out_sample : int
-val ps_of_ms : float -> int
-val ms_of_ps : int -> float
-
-(** {2 Digest folding} *)
 
 val fnv_basis : int64
 (** {!Fnv.basis}. *)

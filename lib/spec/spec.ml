@@ -60,3 +60,40 @@ let positive key f =
 let non_negative key f =
   if Float.is_finite f && f >= 0.0 then Ok f
   else Error (Printf.sprintf "%s=%g must be >= 0" key f)
+
+(* -- durations ---------------------------------------------------------- *)
+
+type time_unit = Ms | Us
+
+let ps_per = function Ms -> 1e9 | Us -> 1e6
+let unit_name = function Ms -> "ms" | Us -> "us"
+
+(* 1000 simulated seconds. Below 2^53 picoseconds, so every accepted
+   duration is an exact float and converts to and from its integer
+   picosecond count without loss. *)
+let max_duration_ps = 1e15
+
+let duration u ?(positive = false) key v =
+  let ps = v *. ps_per u in
+  if Float.is_nan v || v < 0.0 || (positive && v = 0.0) then
+    Error
+      (Printf.sprintf "%s=%g must be %s" key v
+         (if positive then "> 0" else ">= 0"))
+  else if ps > max_duration_ps then
+    Error
+      (Printf.sprintf "%s=%g exceeds %g %s" key v
+         (max_duration_ps /. ps_per u) (unit_name u))
+  else
+    let n = int_of_float (ps +. 0.5) in
+    if positive && n < 1 then
+      Error (Printf.sprintf "%s=%g is shorter than 1 ps" key v)
+    else Ok n
+
+let of_ps u ps = float_of_int ps /. ps_per u
+
+let float_to_string f =
+  let rec go precision =
+    let s = Printf.sprintf "%.*g" precision f in
+    if precision >= 17 || float_of_string s = f then s else go (precision + 1)
+  in
+  go 6

@@ -60,3 +60,26 @@ val positive : string -> float -> (float, string) result
 
 val non_negative : string -> float -> (float, string) result
 (** Requires a finite value greater than or equal to zero. *)
+
+(** {1 Durations}
+
+    Every spec duration is written in ms or us and held as integer
+    picoseconds on the simulated clock. *)
+
+type time_unit = Ms | Us
+
+val duration :
+  time_unit -> ?positive:bool -> string -> float -> (int, string) result
+(** [duration u key v] converts [v] (in unit [u]) to picoseconds,
+    rounded to nearest. It fails, naming [key] and [v], when [v] is
+    NaN or negative, when it exceeds 1000 simulated seconds (so the
+    conversion can never overflow), and with [~positive:true] when it
+    is zero or rounds to 0 ps. *)
+
+val of_ps : time_unit -> int -> float
+(** Picoseconds back to the unit, for canonical spec strings. *)
+
+val float_to_string : float -> string
+(** The [%g] form when it reads back as the same float, otherwise the
+    shortest [%.Ng] that does — canonical spec strings print the
+    usual short form yet round-trip exactly. *)
